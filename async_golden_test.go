@@ -3,8 +3,8 @@
 // gate's grid) must render its result table AND both derived figure
 // panels (overhead-vs-epoch, vulnerability-window-vs-epoch)
 // byte-identically to the committed golden — and identically again when
-// the same cells run with a different cell parallelism, a sharded weave,
-// or through an in-process two-worker fleet. Any byte of drift means the
+// the same cells run with a different cell parallelism or through an
+// in-process two-worker fleet. Any byte of drift means the
 // simulated async-family behaviour changed.
 //
 // After an INTENTIONAL behaviour change, regenerate with:
@@ -86,13 +86,10 @@ func TestAsyncSweepGolden(t *testing.T) {
 		t.Errorf("ext-async-mini drifted from golden %s.\nSimulated results must be byte-identical across refactors; if this change is intentional, regenerate with UPDATE_GOLDEN=1.\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 
-	// The same cells at serial parallelism and with a sharded weave must
-	// render identically: neither axis may leak into results.
+	// The same cells at serial parallelism must render identically: cell
+	// parallelism may not leak into results.
 	if serial := runAsyncMini(t, experiments.Options{Scale: asyncGoldenScale, Parallel: 1}); serial != got {
 		t.Error("ext-async-mini differs between -parallel 1 and parallel run")
-	}
-	if sharded := runAsyncMini(t, experiments.Options{Scale: asyncGoldenScale, Parallel: runtime.NumCPU(), Shards: 2}); sharded != got {
-		t.Error("ext-async-mini differs with a 2-sharded weave")
 	}
 }
 

@@ -135,21 +135,7 @@ func BenchmarkSec4HTech(b *testing.B)  { runExperiment(b, "sec4h-tech") }
 
 func benchSingleCell(b *testing.B, d tvarak.Design, mk func() harness.Workload) {
 	b.Helper()
-	benchCell(b, tvarak.ReproScaleConfig(d), mk)
-}
-
-// benchSingleCellShards runs one cell with its weave phase sharded across
-// OS threads. Reported sim-* metrics are byte-identical to the serial
-// benchmarks (the determinism gate); only wall-clock differs.
-func benchSingleCellShards(b *testing.B, d tvarak.Design, mk func() harness.Workload, shards int) {
-	b.Helper()
 	cfg := tvarak.ReproScaleConfig(d)
-	cfg.Shards = shards
-	benchCell(b, cfg, mk)
-}
-
-func benchCell(b *testing.B, cfg *tvarak.Config, mk func() harness.Workload) {
-	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles, ops uint64
@@ -194,28 +180,6 @@ func BenchmarkCellRedisSetBaseline(b *testing.B) {
 
 func BenchmarkCellRedisSetTvarak(b *testing.B) {
 	benchSingleCell(b, tvarak.DesignTvarak, redisSetCell)
-}
-
-// Sharded-weave variants of the single-cell benchmarks. sim-cycles and
-// sim-accesses must match the serial benchmarks exactly; accesses/sec is
-// where the speedup (if the host has spare CPUs) shows up. Baseline cells
-// defer every media write off the engine thread; TVARAK cells keep
-// redundancy-ticketed bundles ordered, so their speedup is smaller.
-
-func BenchmarkCellStreamTriadBaselineShards4(b *testing.B) {
-	benchSingleCellShards(b, tvarak.DesignBaseline, streamTriadCell, 4)
-}
-
-func BenchmarkCellStreamTriadTvarakShards2(b *testing.B) {
-	benchSingleCellShards(b, tvarak.DesignTvarak, streamTriadCell, 2)
-}
-
-func BenchmarkCellStreamTriadTvarakShards4(b *testing.B) {
-	benchSingleCellShards(b, tvarak.DesignTvarak, streamTriadCell, 4)
-}
-
-func BenchmarkCellRedisSetTvarakShards4(b *testing.B) {
-	benchSingleCellShards(b, tvarak.DesignTvarak, redisSetCell, 4)
 }
 
 // BenchmarkRecoveryLatency measures the parity-reconstruction path itself:

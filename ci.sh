@@ -30,9 +30,7 @@ go test ./...
 echo "== go test -race (parallel harness gate) =="
 # harness/experiments: concurrent experiment cells must share no state.
 # sim/core: the bound-weave engine's grant/yield handoff and the Tvarak
-# controller under it are the hottest cross-goroutine surface; this now
-# includes the TestShard* suite, which drives the sharded weave (SPSC
-# rings, redundancy tickets, barrier merges) under the race detector.
+# controller under it are the hottest cross-goroutine surface.
 # fault: campaign units run on the worker pool and app workers are wrapped
 # with panic containment.
 # obs: tracers and samplers are fed from concurrent cells' engines.
@@ -111,18 +109,6 @@ if [ "${UPDATE_GOLDEN:-0}" = "1" ]; then
     echo "regenerated testdata/ci-golden.json"
 fi
 "$tmp/tvarak-sim" -compare "testdata/ci-golden.json,$tmp/run1.json"
-
-echo "== shard-determinism gate =="
-# The weave phase sharded over 2 and 4 OS threads must leave the metrics
-# export byte-identical to the serial run (DESIGN.md "Parallel weave").
-# -parallel 1 keeps the run to one cell at a time so the shard workers,
-# not cross-cell parallelism, are what executes concurrently.
-sh=(-exp fig8-stream -scale 0.05 -designs baseline,tvarak -parallel 1)
-"$tmp/tvarak-sim" "${sh[@]}" -shards 1 -metrics-out "$tmp/shard1.json" >/dev/null
-"$tmp/tvarak-sim" "${sh[@]}" -shards 2 -metrics-out "$tmp/shard2.json" >/dev/null
-"$tmp/tvarak-sim" "${sh[@]}" -shards 4 -metrics-out "$tmp/shard4.json" >/dev/null
-cmp "$tmp/shard1.json" "$tmp/shard2.json"
-cmp "$tmp/shard1.json" "$tmp/shard4.json"
 
 echo "== live ops gate =="
 # A run with the ops server + resource sampler attached must serve

@@ -1,6 +1,6 @@
 // Command tvarak-soak is the continuous soak + chaos harness (DESIGN.md
 // §11): from one master seed it deterministically samples an endless
-// stream of (app × design × shards × fault-plan) units — every design,
+// stream of (app × design × fault-plan) units — every design,
 // Vilamb and the software schemes included — and runs each as an
 // oracle-judged fault-campaign unit on the worker pool. Every
 // -chaos-every units the supervisor re-execs itself as a worker child,

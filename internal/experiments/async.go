@@ -107,7 +107,7 @@ func parseAsyncVariant(v string) (epoch uint64, series string, ok bool) {
 // vulnerability window (cycles a dirty line stayed stale before its
 // reconciliation) vs epoch length. One row per workload × granularity
 // series, one column per epoch, both in first-appearance order so the
-// panels are byte-identical at any parallelism or shard level. Returns nil
+// panels are byte-identical at any parallelism. Returns nil
 // when the table carries no async variants, so callers can apply it to any
 // experiment's table unconditionally.
 func AsyncFigures(tab *harness.Table) []obs.Figure {

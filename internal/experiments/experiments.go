@@ -47,12 +47,6 @@ type Options struct {
 	// Parallel bounds how many cells simulate concurrently: 0 means one
 	// per CPU, 1 means sequential. Results are identical at any level.
 	Parallel int
-	// Shards spreads each cell's weave phase across up to this many OS
-	// threads (0 or 1 = fully serial). Results are byte-identical at any
-	// setting — see DESIGN.md §"Parallel weave" — so Shards is
-	// deliberately excluded from journal fingerprints. Combine with
-	// Parallel=1 to avoid oversubscribing CPUs.
-	Shards int
 	// Progress, if non-nil, is called after each cell completes.
 	Progress harness.Progress
 	// SampleEvery, when non-zero, samples every cell's measured run into
@@ -107,7 +101,6 @@ func (o Options) config(d param.Design) *param.Config {
 	} else {
 		c = param.ReproScale(d)
 	}
-	c.Shards = o.Shards
 	if d == param.Vilamb && !o.Async.IsZero() {
 		c.Async = o.Async
 	}

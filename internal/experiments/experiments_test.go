@@ -205,47 +205,3 @@ func TestDesignsFilterRespected(t *testing.T) {
 		}
 	}
 }
-
-func TestShardedExperimentMatchesSerial(t *testing.T) {
-	// The weave-sharding determinism gate at the experiment level: the
-	// same experiment with each cell's weave phase spread over 4 OS
-	// threads must produce Result rows and rendered tables byte-identical
-	// to the fully serial run.
-	e, err := experiments.Lookup("fig8-stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := e.Run(experiments.Options{Scale: 0.05, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := e.Run(experiments.Options{Scale: 0.05, Parallel: 1, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Results) != len(sharded.Results) {
-		t.Fatalf("row counts differ: %d serial vs %d sharded", len(serial.Results), len(sharded.Results))
-	}
-	for i := range serial.Results {
-		s, p := serial.Results[i], sharded.Results[i]
-		if s.Workload != p.Workload || s.Design != p.Design || s.Variant != p.Variant || s.Stats != p.Stats {
-			t.Errorf("row %d differs:\n  serial  %s/%s %+v\n  sharded %s/%s %+v",
-				i, s.Workload, s.Label(), s.Stats, p.Workload, p.Label(), p.Stats)
-		}
-	}
-	if serial.String() != sharded.String() {
-		t.Errorf("rendered tables differ:\n--- serial ---\n%s--- sharded ---\n%s", serial, sharded)
-	}
-}
-
-func TestShardsOptionReachesCellConfigs(t *testing.T) {
-	e, err := experiments.Lookup("fig8-stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cell := range e.Cells(experiments.Options{Shards: 4}) {
-		if cell.Config.Shards != 4 {
-			t.Fatalf("cell %s got Shards=%d, want 4", cell.Config.Design, cell.Config.Shards)
-		}
-	}
-}

@@ -218,7 +218,7 @@ func AssembleReport(opt Options, units []CampaignUnit, reports []*UnitReport) (*
 					return rep, err
 				}
 				plan := NewPlan(p.App, p.Seed, p.N)
-				u.MinimalSpecs, u.ShrinkRuns = shrinkUnit(app, p.Design, plan, budget, p.AsyncCfg())
+				u.MinimalSpecs, u.ShrinkRuns = shrinkUnit(opt.Context, app, p.Design, plan, budget, p.AsyncCfg())
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"tvarak/internal/harness"
 	"tvarak/internal/param"
@@ -63,13 +64,13 @@ func TestWithSpecsPreservesRounds(t *testing.T) {
 
 func TestDdminMinimizes(t *testing.T) {
 	// Failure requires {3, 7} together; everything else is noise.
-	fails := func(keep map[int]bool) bool { return keep[3] && keep[7] }
+	fails := func(keep map[int]bool) (bool, bool) { return keep[3] && keep[7], true }
 	keep, runs := ddmin(16, 200, fails)
 	if !reflect.DeepEqual(keep, map[int]bool{3: true, 7: true}) {
 		t.Fatalf("ddmin kept %v, want {3,7} (%d runs)", sortedIdxs(keep), runs)
 	}
 	// A failure independent of the specs shrinks to nothing.
-	keep, _ = ddmin(8, 200, func(map[int]bool) bool { return true })
+	keep, _ = ddmin(8, 200, func(map[int]bool) (bool, bool) { return true, true })
 	if len(keep) != 0 {
 		t.Fatalf("unconditional failure kept %v", sortedIdxs(keep))
 	}
@@ -77,9 +78,26 @@ func TestDdminMinimizes(t *testing.T) {
 
 func TestDdminRespectsBudget(t *testing.T) {
 	calls := 0
-	_, runs := ddmin(64, 5, func(keep map[int]bool) bool { calls++; return keep[0] })
+	_, runs := ddmin(64, 5, func(keep map[int]bool) (bool, bool) { calls++; return keep[0], true })
 	if calls != runs || runs > 5 {
 		t.Fatalf("runs=%d calls=%d, budget was 5", runs, calls)
+	}
+}
+
+func TestDdminStopsWhenTrialDoesNotRun(t *testing.T) {
+	// Two trials run and shrink the set; the third is cancelled. The
+	// search stops there, keeps the best set so far and counts only the
+	// trials that ran.
+	calls := 0
+	keep, runs := ddmin(16, 200, func(keep map[int]bool) (bool, bool) {
+		calls++
+		return keep[3] && keep[7], calls <= 2
+	})
+	if runs != 2 || calls != 3 {
+		t.Fatalf("runs=%d calls=%d, want 2 runs of 3 calls", runs, calls)
+	}
+	if len(keep) >= 16 || !keep[3] || !keep[7] {
+		t.Fatalf("kept %v: want a failing reduction of the 16 indices", sortedIdxs(keep))
 	}
 }
 
@@ -169,7 +187,7 @@ func TestShrinkMinimizesFailingUnit(t *testing.T) {
 	if full.Failure == "" {
 		t.Fatal("hook did not fail the full unit")
 	}
-	specs, runs := shrinkUnit(app, param.Tvarak, plan, 64, param.AsyncConfig{})
+	specs, runs := shrinkUnit(nil, app, param.Tvarak, plan, 64, param.AsyncConfig{})
 	if runs == 0 || len(specs) == 0 {
 		t.Fatalf("shrinker did not run (specs=%d runs=%d)", len(specs), runs)
 	}
@@ -199,6 +217,38 @@ func TestCampaignRecordsAndShrinksFailures(t *testing.T) {
 	}
 	if len(u.MinimalSpecs) == 0 || len(u.MinimalSpecs) >= 4 {
 		t.Fatalf("minimal schedule has %d specs", len(u.MinimalSpecs))
+	}
+}
+
+// TestShrinkHonoursCancelledContext: a campaign cancelled before its
+// failing units are shrunk must not spend re-runs on them. AssembleReport
+// returns at once, each failing unit keeps its full schedule as the best
+// found so far, and ShrinkRuns counts no re-runs.
+func TestShrinkHonoursCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := Options{Seed: 5, N: 4, Apps: []string{"stream"}, Designs: []param.Design{param.Tvarak},
+		Shrink: true, ShrinkBudget: 24, Context: ctx}
+	units, err := CampaignUnits(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := []*UnitReport{{App: "stream", Design: param.Tvarak.String(), Failure: "injected"}}
+	start := time.Now()
+	rep, err := AssembleReport(opt, units, reports)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("AssembleReport took %v under a cancelled context", elapsed)
+	}
+	if err == nil {
+		t.Fatal("expected the failing unit to be reported")
+	}
+	u := rep.Units[0]
+	if u.ShrinkRuns != 0 {
+		t.Fatalf("ShrinkRuns = %d under a cancelled context, want 0", u.ShrinkRuns)
+	}
+	p := units[0].Params
+	if want := NewPlan(p.App, p.Seed, p.N).Injections(); len(u.MinimalSpecs) != want {
+		t.Fatalf("kept %d specs, want the full schedule of %d", len(u.MinimalSpecs), want)
 	}
 }
 

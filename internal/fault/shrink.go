@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"sort"
 
 	"tvarak/internal/param"
@@ -10,12 +11,20 @@ import (
 // debugging over flat spec indices, re-running the unit per attempt.
 // Rounds and their OpsSeeds are preserved, so the minimal schedule
 // replays against the exact same workload segments (async units re-run
-// under the identical async configuration). Returns the minimal failing
-// spec list and how many unit re-runs the search spent (capped at
-// budget).
-func shrinkUnit(app appSpec, design param.Design, plan Plan, budget int, async param.AsyncConfig) ([]Spec, int) {
-	keep, runs := ddmin(plan.Injections(), budget, func(k map[int]bool) bool {
-		return runUnit(nil, app, design, plan.withSpecs(k), async).Failure != ""
+// under the identical async configuration). A cancelled ctx stops the
+// search at the next re-run, keeping the smallest failing schedule found
+// so far. Returns that spec list and how many unit re-runs actually ran
+// (capped at budget).
+func shrinkUnit(ctx context.Context, app appSpec, design param.Design, plan Plan, budget int, async param.AsyncConfig) ([]Spec, int) {
+	keep, runs := ddmin(plan.Injections(), budget, func(k map[int]bool) (bool, bool) {
+		if ctx != nil && ctx.Err() != nil {
+			return false, false
+		}
+		u := runUnit(ctx, app, design, plan.withSpecs(k), async)
+		if u == nil { // cancelled mid-run
+			return false, false
+		}
+		return u.Failure != "", true
 	})
 	return flatSpecs(plan.withSpecs(keep)), runs
 }
@@ -25,8 +34,10 @@ func shrinkUnit(app appSpec, design param.Design, plan Plan, budget int, async p
 // removes nothing) and keep any removal after which fails still holds.
 // fails(all indices) is assumed true; the result is 1-minimal when the
 // budget allows (removing any single kept index makes the failure
-// vanish), otherwise the best reduction found within budget calls.
-func ddmin(total, budget int, fails func(keep map[int]bool) bool) (map[int]bool, int) {
+// vanish), otherwise the best reduction found within budget calls. A
+// trial that reports ran=false (the re-run was cancelled) ends the search
+// at once and is not counted.
+func ddmin(total, budget int, fails func(keep map[int]bool) (failed, ran bool)) (map[int]bool, int) {
 	keep := make(map[int]bool, total)
 	for i := 0; i < total; i++ {
 		keep[i] = true
@@ -44,8 +55,12 @@ func ddmin(total, budget int, fails func(keep map[int]bool) bool) (map[int]bool,
 			for _, k := range idxs[lo:hi] {
 				delete(trial, k)
 			}
+			failed, ran := fails(trial)
+			if !ran {
+				return keep, runs
+			}
 			runs++
-			if fails(trial) {
+			if failed {
 				keep = trial
 				removed = true
 				break // re-scan with the smaller kept set

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -564,7 +565,7 @@ func TestFleetCampaignMergeByteIdenticalToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan, err := NewCampaignPlan(opt, 0)
+	plan, err := NewCampaignPlan(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +581,7 @@ func TestFleetCampaignMergeByteIdenticalToLocal(t *testing.T) {
 		workers[i] = &Worker{
 			Gateway: srv.URL,
 			Name:    fmt.Sprintf("w%d", i),
-			Build:   func(JobSpec) (Plan, error) { return NewCampaignPlan(opt, 0) },
+			Build:   func(JobSpec) (Plan, error) { return NewCampaignPlan(opt) },
 			Backoff: fastBackoff(),
 		}
 	}
@@ -715,5 +716,52 @@ func TestFleetGatewayDrainHoldsForLaggardWorkers(t *testing.T) {
 	case <-drained:
 	case <-time.After(ttl):
 		t.Fatal("Drain did not return after the laggard was told the job is done")
+	}
+}
+
+// TestLegacyJobSpecsPlanUnchanged: job specs written before the intra-cell
+// weave knob was removed still carry its field (see the testdata files).
+// The field never shaped results, scopes or fingerprints, so such a spec
+// is accepted, the field is ignored, and it plans exactly like the same
+// spec without it.
+func TestLegacyJobSpecsPlanUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		want JobSpec
+	}{
+		{"legacy-sweep-spec.json", JobSpec{Kind: "sweep", Experiment: "fig8-stream", Scale: 0.05,
+			Designs: []string{"Baseline", "Tvarak"}}},
+		{"legacy-campaign-spec.json", JobSpec{Kind: "campaign", Seed: 3, N: 8,
+			Apps: []string{"stream", "fio"}}},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spec JobSpec
+			if err := json.Unmarshal(raw, &spec); err != nil {
+				t.Fatalf("legacy spec rejected: %v", err)
+			}
+			old, err := BuildPlan(spec)
+			if err != nil {
+				t.Fatalf("planning the legacy spec: %v", err)
+			}
+			cur, err := BuildPlan(tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if old.Scope() != cur.Scope() {
+				t.Fatalf("legacy scope %q, current %q", old.Scope(), cur.Scope())
+			}
+			if old.Units() != cur.Units() || cur.Units() == 0 {
+				t.Fatalf("legacy spec plans %d units, current %d", old.Units(), cur.Units())
+			}
+			for i := 0; i < cur.Units(); i++ {
+				if a, b := old.Fingerprint(i), cur.Fingerprint(i); a != b {
+					t.Fatalf("unit %d: legacy fingerprint %q, current %q", i, a, b)
+				}
+			}
+		})
 	}
 }

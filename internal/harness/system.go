@@ -145,14 +145,13 @@ type Observation struct {
 	// Tracer, when non-nil, receives the measured run's simulation events
 	// (setup traffic is not traced).
 	Tracer obs.Tracer
-	// Probe, when non-nil, receives cumulative (cycles, accesses, shard
-	// queue depth) at every weave-phase boundary — live wall-clock
-	// telemetry (internal/live), strictly read-only. Unlike the sampler
+	// Probe, when non-nil, receives cumulative (cycles, accesses) at every
+	// weave-phase boundary — live wall-clock telemetry (internal/live), strictly read-only. Unlike the sampler
 	// and tracer it attaches before setup, so an operator watching /runs
 	// sees liveness during long preloads too; the consumer must therefore
 	// tolerate the cumulative values rebasing at ResetMeasurement
 	// (live.Telemetry.CellProbe does).
-	Probe func(cycles, accesses, shardQueued uint64)
+	Probe func(cycles, accesses uint64)
 }
 
 // Run executes one workload on a fresh system with the given config,

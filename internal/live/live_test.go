@@ -186,8 +186,8 @@ func TestCellProbeDeltasAndRebase(t *testing.T) {
 	tl := NewTelemetry()
 	tl.Board.Begin("p", 1)
 	probe := tl.CellProbe(0)
-	probe(100, 10, 3)
-	probe(300, 25, 0)
+	probe(100, 10)
+	probe(300, 25)
 	if got := tl.Engine.Accesses.Value(); got != 25 {
 		t.Fatalf("accesses = %d, want 25", got)
 	}
@@ -199,12 +199,9 @@ func TestCellProbeDeltasAndRebase(t *testing.T) {
 	}
 	// ResetMeasurement zeroes the engine stats: cumulative goes backwards,
 	// the probe must rebase instead of underflowing.
-	probe(50, 5, 0)
+	probe(50, 5)
 	if got := tl.Engine.Accesses.Value(); got != 30 {
 		t.Fatalf("accesses after rebase = %d, want 30", got)
-	}
-	if got := tl.Engine.ShardQueue.Value(); got != 0 {
-		t.Fatalf("shard queue = %v, want 0", got)
 	}
 }
 
@@ -520,9 +517,9 @@ func TestProbeAllocFree(t *testing.T) {
 	tl := NewTelemetry()
 	tl.Board.Begin("alloc", 1)
 	probe := tl.CellProbe(0)
-	probe(1, 1, 0)
+	probe(1, 1)
 	allocs := testing.AllocsPerRun(100, func() {
-		probe(2, 2, 1)
+		probe(2, 2)
 	})
 	if allocs > 0 {
 		t.Fatalf("probe allocates %v per call", allocs)

@@ -30,7 +30,7 @@ import (
 )
 
 // stripes is each counter's slot count (power of two). Concurrent updaters
-// with distinct hints (cell indices, shard IDs) land on distinct cache
+// with distinct hints (cell or unit indices) land on distinct cache
 // lines; Value folds the stripes at read time.
 const stripes = 8
 
@@ -54,7 +54,7 @@ type Counter struct {
 func (c *Counter) Add(n uint64) { c.s[0].v.Add(n) }
 
 // AddAt increments the counter by n on the stripe selected by hint (a cell
-// index, shard ID, or any value that separates concurrent updaters).
+// or unit index, or any value that separates concurrent updaters).
 func (c *Counter) AddAt(hint int, n uint64) {
 	c.s[uint(hint)&(stripes-1)].v.Add(n)
 }

@@ -109,13 +109,6 @@ type Memory struct {
 	// firmware bug or media corruption struck. Nil when disabled.
 	obsW WriteObserver
 	obsR ReadObserver
-
-	// hook, when set by a sharded engine, is invoked before any API that
-	// bypasses the timed access path (raw reads/writes, bug injection,
-	// bit flips, observer installation) so the engine can flush deferred
-	// media work first — and, for the mutating/observing calls (degrade
-	// true), fall back to serial execution for the rest of the run.
-	hook func(degrade bool)
 }
 
 // WriteObserver receives every media write with its intended address and
@@ -130,31 +123,10 @@ type WriteObserver func(addr uint64, data []byte, timed bool, class Class)
 type ReadObserver func(addr uint64, buf []byte, class Class, eccErr bool)
 
 // SetWriteObserver installs (or, with nil, removes) the write observer.
-func (m *Memory) SetWriteObserver(o WriteObserver) {
-	m.touch(true)
-	m.obsW = o
-}
+func (m *Memory) SetWriteObserver(o WriteObserver) { m.obsW = o }
 
 // SetReadObserver installs (or, with nil, removes) the read observer.
-func (m *Memory) SetReadObserver(o ReadObserver) {
-	m.touch(true)
-	m.obsR = o
-}
-
-// HasObservers reports whether any read or write observer is installed.
-// A sharded engine refuses to defer media work while observers are live:
-// observers would otherwise fire off the engine thread and out of order.
-func (m *Memory) HasObservers() bool { return m.obsW != nil || m.obsR != nil }
-
-// SetShardHook installs (or, with nil, removes) the sharded engine's
-// flush/degrade hook; see the field comment.
-func (m *Memory) SetShardHook(h func(degrade bool)) { m.hook = h }
-
-func (m *Memory) touch(degrade bool) {
-	if m.hook != nil {
-		m.hook(degrade)
-	}
-}
+func (m *Memory) SetReadObserver(o ReadObserver) { m.obsR = o }
 
 // New builds a memory pool. For NVMKind the pool spans
 // [geo.NVMBase(), geo.NVMEnd()); for DRAMKind it spans [0, geo.DRAMBytes).
@@ -213,10 +185,10 @@ func (m *Memory) Contains(addr uint64) bool {
 	return addr >= m.base && addr < m.base+m.size
 }
 
-// locateIdx maps a line address to (dimm index, byte offset within the
-// DIMM). The interleave granule (page for NVM, line for DRAM) is
-// precomputed as unit; shift/mask fast paths cover the power-of-two cases.
-func (m *Memory) locateIdx(addr uint64) (int, uint64) {
+// locate maps a line address to its DIMM and the byte offset within it.
+// The interleave granule (page for NVM, line for DRAM) is precomputed as
+// unit; shift/mask fast paths cover the power-of-two cases.
+func (m *Memory) locate(addr uint64) (*dimm, uint64) {
 	rel := addr - m.base
 	var idx, inUnit uint64
 	if m.unitPow2 {
@@ -230,20 +202,7 @@ func (m *Memory) locateIdx(addr uint64) (int, uint64) {
 	} else {
 		d, row = idx%m.nd, idx/m.nd
 	}
-	return int(d), row*m.unit + inUnit
-}
-
-func (m *Memory) locate(addr uint64) (*dimm, uint64) {
-	di, off := m.locateIdx(addr)
-	return m.dimms[di], off
-}
-
-// DimmIndex returns the DIMM that services addr's line — the routing key a
-// sharded engine uses so all deferred accesses to one line land on one
-// shard queue.
-func (m *Memory) DimmIndex(addr uint64) int {
-	di, _ := m.locateIdx(m.geo.LineAddr(addr))
-	return di
+	return m.dimms[d], row*m.unit + inUnit
 }
 
 // eccIndex returns the per-line ECC slot for a DIMM byte offset.
@@ -271,10 +230,6 @@ func (m *Memory) checkLine(addr uint64) uint64 {
 // device ECC cannot catch that (the wrong line's ECC matches the wrong
 // line's data), but genuine media corruption returns ErrECC.
 func (m *Memory) ReadLine(now uint64, addr uint64, class Class, buf []byte) (uint64, error) {
-	return m.readLine(nil, now, addr, class, buf)
-}
-
-func (m *Memory) readLine(a *Acct, now uint64, addr uint64, class Class, buf []byte) (uint64, error) {
 	m.checkLine(addr)
 	src := addr
 	// Bugs are armed only inside fault-injection runs; the len check keeps
@@ -285,14 +240,11 @@ func (m *Memory) readLine(a *Acct, now uint64, addr uint64, class Class, buf []b
 			src = b.target
 		}
 	}
-	di, off := m.locateIdx(src)
-	d := m.dimms[di]
-	m.accRead(a, di, class)
+	d, off := m.locate(src)
+	m.accRead(d, class)
 	copy(buf, d.data[off:off+uint64(m.lineSize)])
 	if d.ecc[m.eccIndex(off)] != xsum.Checksum(buf) {
-		if a != nil {
-			a.st.ECCErrors++
-		} else if m.st != nil {
+		if m.st != nil {
 			m.st.ECCErrors++
 		}
 		if m.obsR != nil {
@@ -306,48 +258,16 @@ func (m *Memory) readLine(a *Acct, now uint64, addr uint64, class Class, buf []b
 	return now + m.p.ReadCyc, nil
 }
 
-// ReadLineDeferred performs a timed media read whose device-ECC check the
-// caller defers: it accounts occupancy and stats directly (engine thread),
-// copies the line into buf, and returns the stored ECC word alongside the
-// completion cycle. The caller later compares xsum.Checksum of the
-// snapshot against ecc off the critical path. Bug redirection is identical
-// to ReadLine. Observers must not be installed (the sharded engine checks).
-func (m *Memory) ReadLineDeferred(now uint64, addr uint64, class Class, buf []byte) (uint64, uint32) {
-	m.checkLine(addr)
-	src := addr
-	if len(m.bugsR) != 0 {
-		if b, ok := m.bugsR[addr]; ok && b.kind == misdirectedRead && class == Data {
-			delete(m.bugsR, addr)
-			src = b.target
-		}
-	}
-	di, off := m.locateIdx(src)
-	d := m.dimms[di]
-	m.accRead(nil, di, class)
-	copy(buf, d.data[off:off+uint64(m.lineSize)])
-	return now + m.p.ReadCyc, d.ecc[m.eccIndex(off)]
-}
-
-func (m *Memory) accRead(a *Acct, di int, class Class) {
-	if a == nil {
-		d := m.dimms[di]
-		d.busyCyc += m.p.ReadOccupancyCyc
-		d.reads++
-		if m.st != nil {
-			if m.kind == NVMKind {
-				m.st.AddNVM(false, class == Redundancy, m.p.ReadEnergyPJ)
-			} else {
-				m.st.AddDRAM(false, m.p.ReadEnergyPJ)
-			}
-		}
+func (m *Memory) accRead(d *dimm, class Class) {
+	d.busyCyc += m.p.ReadOccupancyCyc
+	d.reads++
+	if m.st == nil {
 		return
 	}
-	a.busy[di] += m.p.ReadOccupancyCyc
-	a.reads[di]++
 	if m.kind == NVMKind {
-		a.st.AddNVM(false, class == Redundancy, m.p.ReadEnergyPJ)
+		m.st.AddNVM(false, class == Redundancy, m.p.ReadEnergyPJ)
 	} else {
-		a.st.AddDRAM(false, m.p.ReadEnergyPJ)
+		m.st.AddDRAM(false, m.p.ReadEnergyPJ)
 	}
 }
 
@@ -356,10 +276,6 @@ func (m *Memory) accRead(a *Acct, di int, class Class) {
 // misdirected-write bug writes data (and its ECC, atomically) to the wrong
 // line. The completion cycle is returned.
 func (m *Memory) WriteLine(now uint64, addr uint64, class Class, data []byte) uint64 {
-	return m.writeLine(nil, now, addr, class, data)
-}
-
-func (m *Memory) writeLine(a *Acct, now uint64, addr uint64, class Class, data []byte) uint64 {
 	m.checkLine(addr)
 	if m.obsW != nil {
 		m.obsW(addr, data, true, class)
@@ -372,49 +288,37 @@ func (m *Memory) writeLine(a *Acct, now uint64, addr uint64, class Class, data [
 			case lostWrite:
 				// Acknowledge without updating media. Occupancy and stats
 				// still accrue: the request was issued and "serviced".
-				di, _ := m.locateIdx(addr)
-				m.accWrite(a, di, class)
+				d, _ := m.locate(addr)
+				m.accWrite(d, class)
 				return now + m.p.WriteCyc
 			case misdirectedWrite:
 				dst = b.target
 			}
 		}
 	}
-	di, off := m.locateIdx(dst)
-	d := m.dimms[di]
-	m.accWrite(a, di, class)
+	d, off := m.locate(dst)
+	m.accWrite(d, class)
 	copy(d.data[off:off+uint64(m.lineSize)], data)
 	d.ecc[m.eccIndex(off)] = xsum.Checksum(data)
 	return now + m.p.WriteCyc
 }
 
-func (m *Memory) accWrite(a *Acct, di int, class Class) {
-	if a == nil {
-		d := m.dimms[di]
-		d.busyCyc += m.p.WriteOccupancyCyc
-		d.writes++
-		if m.st != nil {
-			if m.kind == NVMKind {
-				m.st.AddNVM(true, class == Redundancy, m.p.WriteEnergyPJ)
-			} else {
-				m.st.AddDRAM(true, m.p.WriteEnergyPJ)
-			}
-		}
+func (m *Memory) accWrite(d *dimm, class Class) {
+	d.busyCyc += m.p.WriteOccupancyCyc
+	d.writes++
+	if m.st == nil {
 		return
 	}
-	a.busy[di] += m.p.WriteOccupancyCyc
-	a.writes[di]++
 	if m.kind == NVMKind {
-		a.st.AddNVM(true, class == Redundancy, m.p.WriteEnergyPJ)
+		m.st.AddNVM(true, class == Redundancy, m.p.WriteEnergyPJ)
 	} else {
-		a.st.AddDRAM(true, m.p.WriteEnergyPJ)
+		m.st.AddDRAM(true, m.p.WriteEnergyPJ)
 	}
 }
 
 // ReadRaw copies current media content without timing, stats, bug or ECC
 // effects. Setup, verification and recovery-checking code uses it.
 func (m *Memory) ReadRaw(addr uint64, buf []byte) {
-	m.touch(false)
 	for n := 0; n < len(buf); {
 		la := m.geo.LineAddr(addr + uint64(n))
 		d, off := m.locate(la)
@@ -427,7 +331,6 @@ func (m *Memory) ReadRaw(addr uint64, buf []byte) {
 // WriteRaw writes media content directly (with consistent ECC), without
 // timing, stats or bugs. Used for setup and by recovery to repair media.
 func (m *Memory) WriteRaw(addr uint64, data []byte) {
-	m.touch(false)
 	if m.obsW != nil {
 		m.obsW(addr, data, false, Data)
 	}
@@ -450,7 +353,6 @@ func (m *Memory) WriteRaw(addr uint64, data []byte) {
 // InjectLostWrite arms a one-shot lost-write firmware bug: the next
 // WriteLine to lineAddr is acknowledged but never reaches media (Fig. 1).
 func (m *Memory) InjectLostWrite(lineAddr uint64) {
-	m.touch(true)
 	m.bugsW[m.checkLine(lineAddr)] = bug{kind: lostWrite}
 }
 
@@ -458,7 +360,6 @@ func (m *Memory) InjectLostWrite(lineAddr uint64) {
 // WriteLine intended for intended lands on actual instead, corrupting it
 // (Fig. 2).
 func (m *Memory) InjectMisdirectedWrite(intended, actual uint64) {
-	m.touch(true)
 	m.checkLine(actual)
 	m.bugsW[m.checkLine(intended)] = bug{kind: misdirectedWrite, target: actual}
 }
@@ -466,7 +367,6 @@ func (m *Memory) InjectMisdirectedWrite(intended, actual uint64) {
 // InjectMisdirectedRead arms a one-shot misdirected-read bug: the next
 // ReadLine of intended returns the content of actual.
 func (m *Memory) InjectMisdirectedRead(intended, actual uint64) {
-	m.touch(true)
 	m.checkLine(actual)
 	m.bugsR[m.checkLine(intended)] = bug{kind: misdirectedRead, target: actual}
 }
@@ -474,7 +374,6 @@ func (m *Memory) InjectMisdirectedRead(intended, actual uint64) {
 // FlipBit corrupts one media bit without updating ECC, modelling media
 // corruption that device ECC does detect.
 func (m *Memory) FlipBit(addr uint64, bit uint) {
-	m.touch(true)
 	la := m.geo.LineAddr(addr)
 	d, off := m.locate(la)
 	d.data[off+(addr-la)] ^= 1 << (bit % 8)
@@ -496,7 +395,6 @@ func (m *Memory) BugArmed(lineAddr uint64) bool {
 // reports how many were removed. Campaigns cancel unfired injections at
 // round boundaries so their accounting of media divergence stays exact.
 func (m *Memory) CancelBugs(lineAddr uint64) int {
-	m.touch(true)
 	n := 0
 	if _, ok := m.bugsW[lineAddr]; ok {
 		delete(m.bugsW, lineAddr)

@@ -362,14 +362,6 @@ type Config struct {
 	// (zsim uses 10k cycles).
 	PhaseCyc uint64
 
-	// Shards is the number of OS threads the engine spreads the weave
-	// phase's deferred work (NVM/DRAM writebacks, redundancy updates,
-	// device-ECC verification) across. 0 or 1 runs fully serial (today's
-	// behavior); higher values pipeline that work off the engine thread
-	// while keeping every statistic and all media content byte-identical
-	// (see DESIGN.md §"Parallel weave").
-	Shards int
-
 	// DRAMBytes and NVMBytes size the two physical memories. NVMBytes is
 	// split evenly across NVM DIMMs and must be a multiple of
 	// PageSize*NVM.DIMMs.
@@ -478,9 +470,6 @@ func (c *Config) Validate() error {
 	}
 	if c.LLCBanks <= 0 {
 		return fmt.Errorf("param: need at least one LLC bank")
-	}
-	if c.Shards < 0 || c.Shards > 64 {
-		return fmt.Errorf("param: shards must be in [0,64], got %d", c.Shards)
 	}
 	if g := c.Async.DirtyGran; g < GranPage || g > GranRange {
 		return fmt.Errorf("param: invalid dirty granularity %d", int(g))

@@ -165,7 +165,6 @@ func (e *Engine) Run(workers []func(*Core)) {
 			w(c)
 		}(c, w)
 	}
-	e.startShards()
 	phase := e.Cfg.PhaseCyc
 	if phase == 0 {
 		phase = 10000
@@ -185,27 +184,11 @@ func (e *Engine) Run(workers []func(*Core)) {
 		if !alive {
 			break
 		}
-		var shardQueued uint64
-		if e.shardOn {
-			if e.Probe != nil {
-				// Ring depth is only meaningful before the barrier drains
-				// everything; reading head/tail here races with nothing —
-				// the engine thread is the sole publisher and the workers
-				// only advance head.
-				for _, w := range e.srt.workers {
-					shardQueued += w.tail.Load() - w.head.Load()
-				}
-			}
-			// Quiesce the shard workers and fold their stats, DIMM timing
-			// and buffered events back in, so the sampler and tracer below
-			// observe exactly the serial run's phase snapshot.
-			e.shardBarrier()
-		}
 		if e.Sampler != nil {
 			e.Sampler.Observe(e.maxClock(), e.St)
 		}
 		if e.Probe != nil {
-			e.Probe(e.maxClock(), e.St.Loads+e.St.Stores, shardQueued)
+			e.Probe(e.maxClock(), e.St.Loads+e.St.Stores)
 		}
 		// Every core is quiesced at the barrier here: no store is in
 		// flight, so observers (the shadow oracle) can cross-check
@@ -284,10 +267,6 @@ func (e *Engine) DropCaches() {
 // dirty redundancy, then records the run's cycle count: the latest of all
 // core clocks and DIMM busy times.
 func (e *Engine) drain() {
-	// Flush and park the shard workers first (no-op when serial): the
-	// drain's own writebacks and the controller's Drain then run inline on
-	// fully merged state, exactly as in a serial run.
-	e.stopShards()
 	for _, c := range e.Cores {
 		e.flushPrivate(c)
 	}

@@ -57,18 +57,6 @@ type RedundancyController interface {
 	Drain(now uint64)
 }
 
-// ShardableController is a RedundancyController whose execution context —
-// the stats sink it accumulates into, the NVM accessor it reads/writes
-// media through, and the event sink it traces to — can be rebound. The
-// sharded engine points these at a worker's private sinks before running a
-// deferred OnWriteback bundle on that worker, and back at the engine's own
-// sinks before every inline (latency-bearing) call. A controller that does
-// not implement this keeps the engine serial at any Shards setting.
-type ShardableController interface {
-	RedundancyController
-	SetShardExec(st *stats.Stats, mem nvm.Accessor, emit func(obs.EventKind, uint64, uint64, uint64))
-}
-
 // Engine owns the simulated machine.
 type Engine struct {
 	Cfg   *param.Config
@@ -88,12 +76,11 @@ type Engine struct {
 	// boundaries into a per-run time series. Attach via AttachSampler.
 	Sampler *obs.Sampler
 	// Probe, when non-nil, is invoked at every bound-weave phase boundary
-	// with the engine's cumulative clock, completed accesses, and the
-	// deferred items still queued in shard rings just before the barrier.
-	// It is wall-clock-domain live telemetry (internal/live): strictly
-	// read-only, never consulted by the simulation, and the nil default
-	// costs one branch per phase — nothing per access.
-	Probe func(cycles, accesses, shardQueued uint64)
+	// with the engine's cumulative clock and completed accesses. It is
+	// wall-clock-domain live telemetry (internal/live): strictly read-only,
+	// never consulted by the simulation, and the nil default costs one
+	// branch per phase — nothing per access.
+	Probe func(cycles, accesses uint64)
 
 	dataWays int
 	lineBuf  []byte
@@ -118,15 +105,6 @@ type Engine struct {
 	ctx       context.Context
 	cancelled bool
 	runErr    error
-
-	// Sharded-weave state (see shard.go): shards is the configured worker
-	// count, srt the lazily built runtime, shardOn whether deferral is
-	// active for the current Run, and emitFn a preallocated method value of
-	// Emit handed to the controller as its engine-side event sink.
-	shards  int
-	srt     *shardRT
-	shardOn bool
-	emitFn  func(obs.EventKind, uint64, uint64, uint64)
 }
 
 // WorkloadPanicError is the structured error a contained workload panic
@@ -162,9 +140,7 @@ func New(cfg *param.Config) (*Engine, error) {
 		dataWays: cfg.DataWays(),
 		lineBuf:  make([]byte, cfg.LineSize),
 		evictBuf: make([]byte, cfg.LineSize),
-		shards:   max(1, cfg.Shards),
 	}
-	e.emitFn = e.Emit
 	if ls := uint64(cfg.LineSize); ls&(ls-1) == 0 {
 		e.linePow2 = true
 		e.lineShift = uint(bits.TrailingZeros64(ls))
@@ -422,12 +398,6 @@ func (e *Engine) newestPrivate(d *Core, la uint64) []byte {
 // old content as a diff).
 func (e *Engine) mergeIntoLLC(c *Core, ll *cache.Line, newest []byte) {
 	if ll.State != cache.Modified && e.Red != nil && e.Geo.IsNVM(ll.Addr) {
-		if e.shardOn {
-			// OnDirtyInstall mutates engine-visible controller state (diff
-			// partition, possible early writeback): run it inline against
-			// serially-consistent controller state.
-			e.redInline()
-		}
 		e.Red.OnDirtyInstall(c.Clock, ll.Addr, ll.Data)
 	}
 	copy(ll.Data, newest)
@@ -479,26 +449,9 @@ func (e *Engine) upgrade(c *Core, la uint64) uint64 {
 func (e *Engine) fillLLC(c *Core, la uint64, lat *uint64) *cache.Line {
 	issue := c.Clock + *lat
 	buf := e.lineBuf
-	m := e.mem(la)
-	isNVM := e.Geo.IsNVM(la)
-	var complete uint64
-	if e.shardOn {
-		// Deferred media writes to la must land before we read it; under a
-		// controller every NVM write is redundancy-ticketed, and OnFill
-		// below needs all prior redundancy work retired anyway.
-		if isNVM && e.Red != nil {
-			e.redInline()
-		} else {
-			e.waitLineClear(la)
-		}
-		var ecc uint32
-		complete, ecc = m.ReadLineDeferred(issue, la, nvm.Data, buf)
-		e.enqueueVerify(m, la, ecc, buf)
-	} else {
-		complete, _ = m.ReadLine(issue, la, nvm.Data, buf) // ECC errors are counted by the device
-	}
+	complete, _ := e.mem(la).ReadLine(issue, la, nvm.Data, buf) // ECC errors are counted by the device
 	*lat += complete - issue
-	if isNVM {
+	if e.Geo.IsNVM(la) {
 		e.St.Fills++
 		var extra uint64
 		if e.Red != nil {
@@ -553,9 +506,8 @@ func (e *Engine) evictLLC(now uint64, v *cache.Line) {
 		rem &^= ownerBit(d.ID)
 		if newest := e.newestPrivate(d, v.Addr); newest != nil {
 			if wasClean && oldClean == nil {
-				// evictBuf is consumed before this function returns: the
-				// serial path hands it to OnWriteback synchronously, the
-				// sharded path snapshots it into the ring slot at enqueue.
+				// evictBuf is consumed before this function returns:
+				// writebackLine hands it to OnWriteback synchronously.
 				copy(e.evictBuf, v.Data)
 				oldClean = e.evictBuf
 			}
@@ -586,21 +538,10 @@ func (e *Engine) writebackLine(now uint64, addr uint64, oldClean, data []byte) {
 	if e.Geo.IsNVM(addr) {
 		e.St.Writebacks++
 		e.Emit(obs.EvWriteback, now, addr, 0)
-		if e.shardOn {
-			// The whole bundle — redundancy update plus data write, none of
-			// it on the issuing core's critical path — runs on a shard
-			// worker; oldClean/data are snapshotted into the ring slot.
-			e.enqueueNVMWriteback(now, addr, oldClean, data)
-			return
-		}
 		if e.Red != nil {
 			e.Red.OnWriteback(now, addr, oldClean, data)
 		}
 		e.NVM.WriteLine(now, addr, nvm.Data, data)
-		return
-	}
-	if e.shardOn {
-		e.enqueueDRAMWrite(now, addr, data)
 		return
 	}
 	e.DRAM.WriteLine(now, addr, nvm.Data, data)

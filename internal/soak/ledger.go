@@ -14,8 +14,10 @@ import (
 
 // LedgerVersion stamps every soak ledger line; lines with a different
 // version are a hard error (a soak ledger is an audit artifact — silently
-// reinterpreting an incompatible one would defeat its purpose).
-const LedgerVersion = 1
+// reinterpreting an incompatible one would defeat its purpose). Version 2
+// removed the intra-cell weave-parallelism field and its part of every
+// unit key.
+const LedgerVersion = 2
 
 // LedgerLine is one unit's outcome in the cumulative soak ledger. The
 // line splits into two domains:
@@ -37,7 +39,6 @@ type LedgerLine struct {
 
 	App      string `json:"app"`
 	Design   string `json:"design"`
-	Shards   int    `json:"shards"`
 	N        int    `json:"n"`
 	UnitSeed int64  `json:"unitSeed"`
 

@@ -3,6 +3,7 @@ package soak
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,7 +74,8 @@ func TestReadLedgerTornTailAndErrors(t *testing.T) {
 		{"torn final line dropped", line(0) + "\n" + line(1)[:20], 1, false},
 		{"blank lines skipped", "\n" + line(0) + "\n\n" + line(1) + "\n\n", 2, false},
 		{"mid-file garbage is fatal", line(0) + "\n{nope\n" + line(1) + "\n", 0, true},
-		{"wrong version is fatal", strings.Replace(line(0), `"v":1`, `"v":2`, 1) + "\n", 0, true},
+		{"wrong version is fatal", strings.Replace(line(0), fmt.Sprintf(`"v":%d`, LedgerVersion), fmt.Sprintf(`"v":%d`, LedgerVersion+1), 1) + "\n", 0, true},
+		{"version 1 line is fatal", `{"v":1,"seed":9,"i":0,"key":"k"}` + "\n", 0, true},
 		{"empty", "", 0, false},
 	}
 	for _, tc := range cases {

@@ -278,7 +278,6 @@ func runOne(ctx context.Context, cfg Config, index int) (*LedgerLine, error) {
 		Key:      fp,
 		App:      unit.App,
 		Design:   unit.Design.String(),
-		Shards:   unit.Shards,
 		N:        unit.N,
 		UnitSeed: unit.Seed,
 	}
