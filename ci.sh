@@ -51,11 +51,13 @@ echo "== go test -race (parallel harness gate) =="
 # swred: the async (Vilamb-family) daemon passes run on dedicated daemon
 # cores concurrently with foreground mutators; the dirty-set property
 # suite and epoch-aware verdict paths must hold under the race detector.
+# applog: the shared append-only log behind the journal and both ledgers
+# takes appends from concurrent runner workers and the resource sampler.
 go test -race -timeout 20m ./internal/harness/ ./internal/experiments/ \
     ./internal/sim/ ./internal/core/ ./internal/fault/ ./internal/obs/ \
     ./internal/cache/ ./internal/nvm/ ./internal/xsum/ ./internal/geom/ \
     ./internal/pmem/ ./internal/live/ ./internal/soak/ ./internal/fleet/ \
-    ./internal/swred/ ./cmd/tvarak-soak/ ./tools/soakcheck/ .
+    ./internal/swred/ ./internal/applog/ ./cmd/tvarak-soak/ ./tools/soakcheck/ .
 
 echo "== coverage floor (core + sim + fault + harness + fleet) =="
 # Combined statement coverage of the central simulation packages plus the
@@ -140,6 +142,12 @@ grep -q '^tvarak_cell_seconds_bucket{le="+Inf"} [0-9]' "$tmp/ops-metrics.txt"
 curl -fsS "http://$addr/runs" | grep -q '"cells"'
 wait "$pid"
 cmp "$tmp/ops-plain.json" "$tmp/ops-live.json"
+"$tmp/opscheck" -ledger "$tmp/ops-ledger.jsonl" -checks goroutines >/dev/null
+# A killed sampler leaves a torn final line; the next run appending to the
+# same ledger must repair it (DESIGN.md §7) so the ledger still analyzes.
+truncate -s -7 "$tmp/ops-ledger.jsonl"
+"$tmp/tvarak-sim" -exp fig8-stream -scale 0.02 -designs baseline -parallel 1 \
+    -ops-ledger "$tmp/ops-ledger.jsonl" -ops-sample 100ms >/dev/null
 "$tmp/opscheck" -ledger "$tmp/ops-ledger.jsonl" -checks goroutines >/dev/null
 
 echo "== bench-regression gate =="

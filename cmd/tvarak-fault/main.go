@@ -26,13 +26,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 	"syscall"
-	"time"
 
 	"tvarak"
+	"tvarak/internal/live"
+	"tvarak/internal/param"
 )
 
 func main() {
@@ -41,75 +39,45 @@ func main() {
 	seed := flag.Int64("seed", 1, "campaign seed (same seed: byte-identical report)")
 	n := flag.Int("n", 112, "campaign injections per design, split across the applications")
 	designs := flag.String("designs", "", "comma-separated campaign designs (baseline,tvarak,vilamb; empty = baseline+tvarak)")
-	epochCyc := flag.Uint64("epoch", 0, "async (vilamb) epoch interval in cycles for campaign units (0 = the design default)")
-	dirtyGran := flag.String("dirty-gran", "", "async dirty-tracking granularity for campaign units: page, line or range")
-	battery := flag.Bool("battery", false, "async battery-backed-DRAM preset for campaign units (zero vulnerability window)")
-	incremental := flag.Bool("incremental", false, "incremental (sub-sliced) async reconciliation for campaign units")
+	asyncFlags := param.RegisterAsyncFlags(flag.CommandLine)
 	report := flag.String("report", "", "write the campaign's JSONL report to this path (- for stdout)")
 	workers := flag.Int("workers", 0, "concurrent campaign units (0 = one per CPU)")
 	shrink := flag.Bool("shrink", true, "minimize the injection schedule of any failing unit")
 	journalPath := flag.String("journal", "", "checkpoint each finished campaign unit durably to this JSONL journal; resume an interrupted campaign with -resume")
 	resume := flag.Bool("resume", false, "reopen -journal and restore already-finished units instead of re-simulating them (the report is byte-identical to an uninterrupted run)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile taken after the run to this path")
-	opsAddr := flag.String("ops-addr", "", "serve live ops HTTP on this address (/metrics, /healthz, /runs, /debug/pprof); use :0 for a free port")
-	opsAddrFile := flag.String("ops-addr-file", "", "write the resolved ops listen address to this file (for scripts using -ops-addr :0)")
-	opsLedger := flag.String("ops-ledger", "", "append periodic resource samples as JSONL to this path; analyze with tools/opscheck")
-	opsSample := flag.Duration("ops-sample", time.Second, "resource sample interval for -ops-ledger")
+	profile := live.RegisterProfileFlags(flag.CommandLine)
+	opsCfg := live.RegisterOpsFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfile, err := profile.Start()
+	if err != nil {
+		fatal(err)
 	}
 
 	var lt *tvarak.LiveTelemetry
-	var ops *tvarak.LiveOps
-	if *opsAddr != "" || *opsLedger != "" {
+	if opsCfg.Enabled() {
 		lt = tvarak.NewLiveTelemetry()
-		var err error
-		ops, err = tvarak.StartLiveOps(lt, tvarak.OpsConfig{
-			Addr: *opsAddr, AddrFile: *opsAddrFile,
-			LedgerPath: *opsLedger, SampleEvery: *opsSample,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if a := ops.Addr(); a != "" {
-			fmt.Fprintf(os.Stderr, "tvarak-fault: ops listening on http://%s\n", a)
-		}
+	}
+	ops, err := opsCfg.Start("tvarak-fault", lt)
+	if err != nil {
+		fatal(err)
 	}
 
-	var err error
 	if *campaign {
-		opt, oerr := campaignOptions(*seed, *n, *workers, *shrink, *designs, *epochCyc, *dirtyGran, *battery, *incremental)
-		if oerr != nil {
-			fatal(oerr)
+		opt := tvarak.FaultCampaignOptions{Seed: *seed, N: *n, Workers: *workers, Shrink: *shrink}
+		if opt.Designs, err = param.ParseDesigns(*designs); err != nil {
+			fatal(err)
+		}
+		if opt.Async, err = asyncFlags.Config(); err != nil {
+			fatal(err)
 		}
 		err = runCampaign(opt, *report, *journalPath, *resume, lt)
 	} else {
 		err = run(*traceOut)
 	}
 
-	if *memprofile != "" {
-		f, ferr := os.Create(*memprofile)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		runtime.GC()
-		if perr := pprof.WriteHeapProfile(f); perr != nil {
-			fatal(perr)
-		}
-		f.Close()
+	if perr := stopProfile(); perr != nil {
+		fatal(perr)
 	}
 	if cerr := ops.Close(); cerr != nil {
 		fmt.Fprintln(os.Stderr, "tvarak-fault: closing ops:", cerr)
@@ -126,39 +94,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tvarak-fault:", err)
 	os.Exit(1)
-}
-
-// campaignOptions assembles the campaign's options from the CLI flags,
-// validating design and granularity names up front.
-func campaignOptions(seed int64, n, workers int, shrink bool, designs string, epochCyc uint64, dirtyGran string, battery, incremental bool) (tvarak.FaultCampaignOptions, error) {
-	opt := tvarak.FaultCampaignOptions{Seed: seed, N: n, Workers: workers, Shrink: shrink}
-	for _, tok := range strings.Split(designs, ",") {
-		switch strings.TrimSpace(strings.ToLower(tok)) {
-		case "":
-		case "baseline":
-			opt.Designs = append(opt.Designs, tvarak.DesignBaseline)
-		case "tvarak":
-			opt.Designs = append(opt.Designs, tvarak.DesignTvarak)
-		case "txb-object", "txb-object-csums":
-			opt.Designs = append(opt.Designs, tvarak.DesignTxBObjectCsums)
-		case "txb-page", "txb-page-csums":
-			opt.Designs = append(opt.Designs, tvarak.DesignTxBPageCsums)
-		case "vilamb":
-			opt.Designs = append(opt.Designs, tvarak.DesignVilamb)
-		default:
-			return opt, fmt.Errorf("unknown design %q", tok)
-		}
-	}
-	g, err := tvarak.ParseDirtyGran(dirtyGran)
-	if err != nil {
-		return opt, err
-	}
-	opt.Async = tvarak.AsyncConfig{EpochCyc: epochCyc, DirtyGran: g, Incremental: incremental}
-	if battery {
-		opt.Async = tvarak.BatteryBackedPreset(epochCyc)
-		opt.Async.Incremental = incremental
-	}
-	return opt, nil
 }
 
 func runCampaign(opt tvarak.FaultCampaignOptions, report, journalPath string, resume bool, lt *tvarak.LiveTelemetry) error {

@@ -59,10 +59,7 @@ func main() {
 		designs     = flag.String("designs", "", "comma-separated subset of designs (baseline,tvarak,txb-object,txb-page,vilamb)")
 		sampleEvery = flag.Uint64("sample-every", 0, "epoch length in cycles for per-run time series in the export (0 = aggregates only)")
 
-		epochCyc    = flag.Uint64("epoch", 0, "async (vilamb-family) epoch interval in cycles (0 = the design default)")
-		dirtyGran   = flag.String("dirty-gran", "", "async dirty-tracking granularity: page, line or range (default page)")
-		battery     = flag.Bool("battery", false, "async battery-backed-DRAM preset (line-granular staged intent checksums, zero vulnerability window)")
-		incremental = flag.Bool("incremental", false, "spread each async epoch's reconciliation across sub-slices instead of one batched pass")
+		asyncFlags = param.RegisterAsyncFlags(flag.CommandLine)
 
 		campaign = flag.Bool("campaign", false, "distribute the oracle-judged fault-injection campaign instead of a sweep")
 		seed     = flag.Int64("seed", 1, "campaign seed (same seed: byte-identical report)")
@@ -82,11 +79,7 @@ func main() {
 
 		metricsOut  = flag.String("metrics-out", "", "write the versioned machine-readable export to this path (CSV when it ends in .csv, JSON otherwise)")
 		summaryFile = flag.String("summary-file", "", "write the final dispatch summary (leases, expiries, redeliveries, duplicates, per-unit states) as JSON to this path")
-
-		opsAddr     = flag.String("ops-addr", "", "serve live ops HTTP on this address (/metrics, /healthz, /runs, /debug/pprof); use :0 for a free port")
-		opsAddrFile = flag.String("ops-addr-file", "", "write the resolved ops listen address to this file")
-		opsLedger   = flag.String("ops-ledger", "", "append periodic resource samples as JSONL to this path")
-		opsSample   = flag.Duration("ops-sample", time.Second, "resource sample interval for -ops-ledger")
+		opsCfg      = live.RegisterOpsFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -94,26 +87,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	spec.EpochCyc, spec.DirtyGran = *epochCyc, *dirtyGran
-	spec.Battery, spec.Incremental = *battery, *incremental
+	spec.EpochCyc, spec.DirtyGran = asyncFlags.Epoch, asyncFlags.DirtyGran
+	spec.Battery, spec.Incremental = asyncFlags.Battery, asyncFlags.Incremental
 	plan, err := fleet.BuildPlan(spec)
 	if err != nil {
 		fatal(err)
 	}
 
 	lt := live.NewTelemetry()
-	var ops *live.Ops
-	if *opsAddr != "" || *opsLedger != "" {
-		ops, err = live.StartOps(lt, live.OpsConfig{
-			Addr: *opsAddr, AddrFile: *opsAddrFile,
-			LedgerPath: *opsLedger, SampleEvery: *opsSample,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if a := ops.Addr(); a != "" {
-			fmt.Fprintf(os.Stderr, "tvarak-gateway: ops listening on http://%s\n", a)
-		}
+	ops, err := opsCfg.Start("tvarak-gateway", lt)
+	if err != nil {
+		fatal(err)
 	}
 
 	var journal *harness.Journal
@@ -248,32 +232,14 @@ func buildSpec(campaign bool, exp string, scale float64, full bool, designs stri
 }
 
 // designNames parses the CLI's design tokens and canonicalizes them to
-// Design.String() values — the on-wire form every worker resolves back
-// through the same table.
+// Design.String() values — the on-wire form every worker parses back.
 func designNames(s string) ([]string, error) {
-	if s == "" {
-		return nil, nil
-	}
+	ds, err := param.ParseDesigns(s)
 	var out []string
-	for _, tok := range strings.Split(s, ",") {
-		var d param.Design
-		switch strings.TrimSpace(strings.ToLower(tok)) {
-		case "baseline":
-			d = param.Baseline
-		case "tvarak":
-			d = param.Tvarak
-		case "txb-object", "txb-object-csums":
-			d = param.TxBObjectCsums
-		case "txb-page", "txb-page-csums":
-			d = param.TxBPageCsums
-		case "vilamb":
-			d = param.Vilamb
-		default:
-			return nil, fmt.Errorf("unknown design %q", tok)
-		}
+	for _, d := range ds {
 		out = append(out, d.String())
 	}
-	return out, nil
+	return out, err
 }
 
 func splitComma(s string) []string {

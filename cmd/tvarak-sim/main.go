@@ -41,7 +41,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -61,27 +60,20 @@ func main() {
 		full    = flag.Bool("full", false, "use the paper's full-scale machine (24 MB LLC) instead of the 1/16-scale reproduction machine")
 		designs = flag.String("designs", "", "comma-separated subset of designs (baseline,tvarak,txb-object,txb-page,vilamb)")
 
-		epochCyc    = flag.Uint64("epoch", 0, "async (vilamb-family) epoch interval in cycles (0 = the design default); ignored by non-vilamb designs")
-		dirtyGran   = flag.String("dirty-gran", "", "async dirty-tracking granularity: page, line or range (default page)")
-		battery     = flag.Bool("battery", false, "async battery-backed-DRAM preset: line-granular staged intent checksums, zero vulnerability window")
-		incremental = flag.Bool("incremental", false, "spread each async epoch's reconciliation across sub-slices instead of one batched pass")
-		jsonOut     = flag.Bool("json", false, "emit one JSON object per run instead of tables")
-		parallel    = flag.Int("parallel", runtime.NumCPU(), "max simulation cells running concurrently (1 = sequential; tables are identical at any level)")
-		progress    = flag.Bool("progress", false, "print per-cell completion, timing and live counters to stderr as cells finish")
+		asyncFlags = param.RegisterAsyncFlags(flag.CommandLine)
+		jsonOut    = flag.Bool("json", false, "emit one JSON object per run instead of tables")
+		parallel   = flag.Int("parallel", runtime.NumCPU(), "max simulation cells running concurrently (1 = sequential; tables are identical at any level)")
+		progress   = flag.Bool("progress", false, "print per-cell completion, timing and live counters to stderr as cells finish")
 
 		metricsOut  = flag.String("metrics-out", "", "write the versioned machine-readable export to this path (CSV when it ends in .csv, JSON otherwise)")
 		traceOut    = flag.String("trace", "", "write a JSONL event trace of every cell's measured run to this path (use -parallel 1 for a deterministic event order)")
 		sampleEvery = flag.Uint64("sample-every", 0, "epoch length in cycles for per-run time series in the export (0 = aggregates only)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this path")
-		memprofile  = flag.String("memprofile", "", "write a pprof heap profile taken after the runs to this path")
+		profile     = live.RegisterProfileFlags(flag.CommandLine)
 		compare     = flag.String("compare", "", "compare two metric exports, given as old.json,new.json; exits 1 on any delta beyond -tolerance")
 		tolerance   = flag.Float64("tolerance", 0, "relative per-metric tolerance for -compare (0 = exact)")
 		validate    = flag.String("validate", "", "read a metrics export, validate its schema version, and print a summary")
 
-		opsAddr     = flag.String("ops-addr", "", "serve live ops HTTP on this address (/metrics, /healthz, /runs, /debug/pprof); use :0 for a free port")
-		opsAddrFile = flag.String("ops-addr-file", "", "write the resolved ops listen address to this file (for scripts using -ops-addr :0)")
-		opsLedger   = flag.String("ops-ledger", "", "append periodic resource samples (heap, goroutines, RSS, throughput) as JSONL to this path; analyze with tools/opscheck")
-		opsSample   = flag.Duration("ops-sample", time.Second, "resource sample interval for -ops-ledger")
+		opsCfg = live.RegisterOpsFlags(flag.CommandLine)
 
 		journalPath = flag.String("journal", "", "checkpoint each completed cell durably to this JSONL journal; an interrupted run resumes from it with -resume")
 		resume      = flag.Bool("resume", false, "reopen -journal and restore already-checkpointed cells instead of re-simulating them (output is byte-identical to an uninterrupted run)")
@@ -115,18 +107,17 @@ func main() {
 		return
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	async, err := asyncFlags.Config()
+	if err != nil {
+		usage(err)
+	}
+	designList, err := param.ParseDesigns(*designs)
+	if err != nil {
+		usage(err)
+	}
+	stopProfile, err := profile.Start()
+	if err != nil {
+		fatal(err)
 	}
 
 	// SIGINT/SIGTERM cancel the run cooperatively: in-flight cells stop at
@@ -136,10 +127,10 @@ func main() {
 	defer stopSignals()
 
 	opts := experiments.Options{
-		Scale: *scale, FullScale: *full, Designs: parseDesigns(*designs),
+		Scale: *scale, FullScale: *full, Designs: designList,
 		Parallel: *parallel, SampleEvery: *sampleEvery,
 		Context: ctx, CellTimeout: *cellTimeout, Retries: *retries, Degrade: *keepGoing,
-		Async: parseAsync(*epochCyc, *dirtyGran, *battery, *incremental),
+		Async: async,
 	}
 
 	// Live telemetry backs both the -ops-addr endpoint and -progress: the
@@ -147,23 +138,13 @@ func main() {
 	// disagree. It is wall-clock-domain and read-only — attaching it leaves
 	// tables and -metrics-out exports byte-identical (DESIGN.md §10).
 	var lt *tvarak.LiveTelemetry
-	if *opsAddr != "" || *opsLedger != "" || *progress {
+	if opsCfg.Enabled() || *progress {
 		lt = tvarak.NewLiveTelemetry()
 		opts.Live = lt
 	}
-	var ops *tvarak.LiveOps
-	if *opsAddr != "" || *opsLedger != "" {
-		var err error
-		ops, err = tvarak.StartLiveOps(lt, tvarak.OpsConfig{
-			Addr: *opsAddr, AddrFile: *opsAddrFile,
-			LedgerPath: *opsLedger, SampleEvery: *opsSample,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if a := ops.Addr(); a != "" {
-			fmt.Fprintf(os.Stderr, "tvarak-sim: ops listening on http://%s\n", a)
-		}
+	ops, err := opsCfg.Start("tvarak-sim", lt)
+	if err != nil {
+		fatal(err)
 	}
 	var journal *tvarak.RunJournal
 	if *resume && *journalPath == "" {
@@ -180,7 +161,6 @@ func main() {
 		if a := opts.Async; !a.IsZero() {
 			scope += "|async=" + a.Label()
 		}
-		var err error
 		if *resume {
 			journal, err = tvarak.ResumeScopedRunJournal(*journalPath, scope)
 		} else {
@@ -315,16 +295,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
+	if err := stopProfile(); err != nil {
+		fatal(err)
 	}
 	// Shut the ops bundle down before deciding the exit code: the final
 	// resource sample lands in the ledger and the HTTP goroutines exit
@@ -349,6 +321,12 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tvarak-sim:", err)
 	os.Exit(1)
+}
+
+// usage reports a bad option value and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "tvarak-sim:", err)
+	os.Exit(2)
 }
 
 // writeExport serializes the export, choosing CSV or JSON by extension.
@@ -412,47 +390,6 @@ func readExport(path string) (*obs.Export, error) {
 	}
 	defer f.Close()
 	return obs.ReadJSON(f)
-}
-
-// parseAsync assembles the async-family configuration from the CLI flags,
-// validating the granularity string up front.
-func parseAsync(epoch uint64, gran string, battery, incremental bool) param.AsyncConfig {
-	g, err := param.ParseDirtyGran(gran)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tvarak-sim:", err)
-		os.Exit(2)
-	}
-	a := param.AsyncConfig{EpochCyc: epoch, DirtyGran: g, Incremental: incremental}
-	if battery {
-		a = param.BatteryPreset(epoch)
-		a.Incremental = incremental
-	}
-	return a
-}
-
-func parseDesigns(s string) []param.Design {
-	if s == "" {
-		return nil
-	}
-	var out []param.Design
-	for _, tok := range strings.Split(s, ",") {
-		switch strings.TrimSpace(strings.ToLower(tok)) {
-		case "baseline":
-			out = append(out, param.Baseline)
-		case "tvarak":
-			out = append(out, param.Tvarak)
-		case "txb-object", "txb-object-csums":
-			out = append(out, param.TxBObjectCsums)
-		case "txb-page", "txb-page-csums":
-			out = append(out, param.TxBPageCsums)
-		case "vilamb":
-			out = append(out, param.Vilamb)
-		default:
-			fmt.Fprintf(os.Stderr, "tvarak-sim: unknown design %q\n", tok)
-			os.Exit(2)
-		}
-	}
-	return out
 }
 
 // tableOne reproduces Table I: trade-offs among TVARAK and previous DAX NVM

@@ -49,24 +49,18 @@ func main() {
 		gateEvery  = flag.Int("gate-every", 16, "run the resource gates every N units (0 disables)")
 		parallel   = flag.Int("parallel", 0, "concurrent units (0 = one per CPU)")
 		designs    = flag.String("designs", "", "restrict the sampled design rotation (comma-separated; empty = all designs)")
-		epochCyc   = flag.Uint64("epoch", 0, "pin the async (vilamb) epoch interval in cycles (needs -pin-async)")
-		dirtyGran  = flag.String("dirty-gran", "", "pin the async dirty-tracking granularity: page, line or range (needs -pin-async)")
-		battery    = flag.Bool("battery", false, "pin the async battery-backed-DRAM preset (needs -pin-async)")
-		increm     = flag.Bool("incremental", false, "pin incremental async reconciliation (needs -pin-async)")
+		asyncFlags = param.RegisterAsyncFlags(flag.CommandLine)
 		pinAsync   = flag.Bool("pin-async", false, "pin every vilamb unit to the -epoch/-dirty-gran/-battery/-incremental config instead of rotating the async axes")
 		ledger     = flag.String("ledger", "soak.jsonl", "append one fsync'd JSONL line per unit to this soak ledger")
 		workdir    = flag.String("workdir", "", "scratch dir for chaos journals/reports (default: a temp dir, removed on success)")
 		journal    = flag.String("journal", "", "checkpoint finished units durably to this journal; resume with -resume")
 		resume     = flag.Bool("resume", false, "reopen -journal and restore already-finished units")
 		failFast   = flag.Bool("fail-fast", true, "stop at the first problem (disable for evidence-gathering runs)")
-
-		opsAddr     = flag.String("ops-addr", "", "serve live ops HTTP on this address (/metrics, /healthz, /runs); use :0 for a free port")
-		opsAddrFile = flag.String("ops-addr-file", "", "write the resolved ops listen address to this file")
-		opsLedger   = flag.String("ops-ledger", "", "resource-sample JSONL path the gates analyze (default: <workdir>/ops.jsonl)")
-		opsSample   = flag.Duration("ops-sample", time.Second, "resource sample interval")
+		opsCfg     = live.RegisterOpsFlags(flag.CommandLine)
 
 		chaosWorker = flag.Bool("chaos-worker", false, "internal: run as a chaos worker child (args: master index journal out resume)")
 	)
+	flag.Lookup("ops-ledger").Usage += "; the resource gates analyze it (default: <workdir>/ops.jsonl)"
 	flag.Parse()
 
 	if *chaosWorker {
@@ -109,20 +103,13 @@ func main() {
 		fatal(err)
 	}
 
-	opsPath := *opsLedger
-	if opsPath == "" {
-		opsPath = dir + "/ops.jsonl"
+	if opsCfg.LedgerPath == "" {
+		opsCfg.LedgerPath = dir + "/ops.jsonl"
 	}
 	lt := live.NewTelemetry()
-	ops, err := live.StartOps(lt, live.OpsConfig{
-		Addr: *opsAddr, AddrFile: *opsAddrFile,
-		LedgerPath: opsPath, SampleEvery: *opsSample,
-	})
+	ops, err := opsCfg.Start("tvarak-soak", lt)
 	if err != nil {
 		fatal(err)
-	}
-	if a := ops.Addr(); a != "" {
-		fmt.Fprintf(os.Stderr, "tvarak-soak: ops listening on http://%s\n", a)
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -138,32 +125,23 @@ func main() {
 		WorkerCmd:     workerCmd(),
 		WorkDir:       dir,
 		GateEvery:     *gateEvery,
-		OpsLedgerPath: opsPath,
+		OpsLedgerPath: opsCfg.LedgerPath,
 		LedgerPath:    *ledger,
 		Live:          lt,
 		Context:       ctx,
 		FailFast:      *failFast,
 		Progress:      printProgress,
 	}
-	if *designs != "" {
-		opts, err := soak.ParseSamplerArgs(*designs, "-")
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Designs = opts.Designs
+	if cfg.Designs, err = param.ParseDesigns(*designs); err != nil {
+		fatal(err)
 	}
 	if *pinAsync {
-		g, err := param.ParseDirtyGran(*dirtyGran)
+		a, err := asyncFlags.Config()
 		if err != nil {
 			fatal(err)
 		}
-		a := param.AsyncConfig{EpochCyc: *epochCyc, DirtyGran: g, Incremental: *increm}
-		if *battery {
-			a = param.BatteryPreset(*epochCyc)
-			a.Incremental = *increm
-		}
 		cfg.Async = &a
-	} else if *epochCyc != 0 || *dirtyGran != "" || *battery || *increm {
+	} else if *asyncFlags != (param.AsyncFlags{}) {
 		fatal(errors.New("-epoch/-dirty-gran/-battery/-incremental pin the async axis; add -pin-async to confirm"))
 	}
 	if *resume && *journal == "" {

@@ -38,11 +38,7 @@ func main() {
 		slots        = flag.Int("slots", 1, "units run concurrently (each slot is an independent lease loop)")
 		retries      = flag.Int("retries", 0, "extra local attempts per sweep unit before reporting it failed to the gateway")
 		acquireDelay = flag.Duration("acquire-delay", 0, "pause between lease grant and unit start (CI uses it to widen the kill window)")
-
-		opsAddr     = flag.String("ops-addr", "", "serve live ops HTTP on this address (/metrics, /healthz, /runs, /debug/pprof); use :0 for a free port")
-		opsAddrFile = flag.String("ops-addr-file", "", "write the resolved ops listen address to this file")
-		opsLedger   = flag.String("ops-ledger", "", "append periodic resource samples as JSONL to this path")
-		opsSample   = flag.Duration("ops-sample", time.Second, "resource sample interval for -ops-ledger")
+		opsCfg       = live.RegisterOpsFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -63,19 +59,9 @@ func main() {
 	}
 
 	lt := live.NewTelemetry()
-	var ops *live.Ops
-	if *opsAddr != "" || *opsLedger != "" {
-		var err error
-		ops, err = live.StartOps(lt, live.OpsConfig{
-			Addr: *opsAddr, AddrFile: *opsAddrFile,
-			LedgerPath: *opsLedger, SampleEvery: *opsSample,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if a := ops.Addr(); a != "" {
-			fmt.Fprintf(os.Stderr, "tvarak-worker: ops listening on http://%s\n", a)
-		}
+	ops, err := opsCfg.Start("tvarak-worker", lt)
+	if err != nil {
+		fatal(err)
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

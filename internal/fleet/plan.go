@@ -43,16 +43,17 @@ type Plan interface {
 // two builds surfaces as a scope or fingerprint mismatch, never as a
 // silently-wrong merged table.
 func BuildPlan(spec JobSpec) (Plan, error) {
-	async, err := asyncCfg(spec)
+	async, err := param.AsyncFlags{Epoch: spec.EpochCyc, DirtyGran: spec.DirtyGran,
+		Battery: spec.Battery, Incremental: spec.Incremental}.Config()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet: job spec: %w", err)
+	}
+	designs, err := param.ParseDesigns(strings.Join(spec.Designs, ","))
+	if err != nil {
+		return nil, fmt.Errorf("fleet: job spec: %w", err)
 	}
 	switch spec.Kind {
 	case "sweep":
-		designs, err := parseDesigns(spec.Designs)
-		if err != nil {
-			return nil, err
-		}
 		exp, err := experiments.Lookup(spec.Experiment)
 		if err != nil {
 			return nil, err
@@ -75,51 +76,12 @@ func BuildPlan(spec JobSpec) (Plan, error) {
 		p.Title = exp.Title
 		return p, nil
 	case "campaign":
-		designs, err := parseDesigns(spec.Designs)
-		if err != nil {
-			return nil, err
-		}
 		opt := fault.Options{Seed: spec.Seed, N: spec.N, Apps: spec.Apps,
 			Designs: designs, Async: async}
 		return NewCampaignPlan(opt)
 	default:
 		return nil, fmt.Errorf("fleet: unknown job kind %q (want sweep or campaign)", spec.Kind)
 	}
-}
-
-// asyncCfg assembles the spec's async (Vilamb-family) configuration,
-// rejecting unknown granularity strings before any unit is enumerated.
-func asyncCfg(spec JobSpec) (param.AsyncConfig, error) {
-	g, err := param.ParseDirtyGran(spec.DirtyGran)
-	if err != nil {
-		return param.AsyncConfig{}, fmt.Errorf("fleet: job spec: %w", err)
-	}
-	a := param.AsyncConfig{EpochCyc: spec.EpochCyc, DirtyGran: g, Incremental: spec.Incremental}
-	if spec.Battery {
-		a = param.BatteryPreset(spec.EpochCyc)
-		a.Incremental = spec.Incremental
-	}
-	return a, nil
-}
-
-// parseDesigns maps design names (Design.String() values, as JobSpec
-// carries them) back to designs.
-func parseDesigns(names []string) ([]param.Design, error) {
-	var out []param.Design
-	for _, name := range names {
-		found := false
-		for _, d := range param.AllDesigns() {
-			if strings.EqualFold(name, d.String()) {
-				out = append(out, d)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("fleet: unknown design %q in job spec", name)
-		}
-	}
-	return out, nil
 }
 
 // SweepPlan distributes harness cells: unit i is cells[i], its payload is

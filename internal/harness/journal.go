@@ -1,12 +1,13 @@
 package harness
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"sync"
+
+	"tvarak/internal/applog"
 )
 
 // JournalVersion is the version stamped on every journal record. Records
@@ -55,7 +56,7 @@ type journalHeader struct {
 // A Journal is safe for concurrent use by the parallel runner's workers.
 type Journal struct {
 	mu       sync.Mutex
-	f        *os.File
+	log      *applog.Log
 	path     string
 	seen     map[journalKey]json.RawMessage
 	restored int
@@ -91,29 +92,24 @@ func NewJournal(path string) (*Journal, error) {
 // different scope fails with a clear error instead of silently restoring
 // nothing.
 func NewJournalScope(path, scope string) (*Journal, error) {
-	f, err := os.Create(path)
+	log, err := applog.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("harness: creating journal: %w", err)
 	}
 	j := &Journal{
-		f: f, path: path, seen: make(map[journalKey]json.RawMessage),
+		log: log, path: path, seen: make(map[journalKey]json.RawMessage),
 		format: JournalFormat, scope: scope,
 	}
-	// The header is written directly (not via Record) so it stays pure
+	// The header is appended directly (not via Record) so it stays pure
 	// file metadata: it never appears in the restorable record map and
 	// never counts toward Appended, mirroring how OpenJournal loads it.
 	line, err := EncodeRecord(headerKind, "", journalHeader{Format: JournalFormat, Scope: scope})
+	if err == nil {
+		err = log.Append(line)
+	}
 	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
+		log.Close()
 		return nil, fmt.Errorf("harness: writing journal header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: syncing journal: %w", err)
 	}
 	return j, nil
 }
@@ -121,25 +117,21 @@ func NewJournalScope(path, scope string) (*Journal, error) {
 // OpenJournal opens an existing journal for resumption: every well-formed
 // record already in the file becomes restorable via Lookup, and new
 // records append after them. Corrupted or truncated lines (a crash mid-
-// write) are skipped and counted, never fatal. The file must exist — use
-// NewJournal to start a fresh run.
+// write) are skipped and counted, never fatal: the log's reopen repair
+// cuts a torn final line, but a journal repaired by an older build can
+// still carry one mid-file. The file must exist — use NewJournal to start
+// a fresh run.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("harness: opening journal: %w", err)
 	}
-	j := &Journal{f: f, path: path, seen: make(map[journalKey]json.RawMessage)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20) // series-bearing cell records can be large
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	j := &Journal{path: path, seen: make(map[journalKey]json.RawMessage)}
+	err = applog.Lines(f, func(line []byte) error {
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil || rec.V != JournalVersion || rec.Kind == "" {
 			j.corrupt++
-			continue
+			return nil
 		}
 		if rec.Kind == headerKind {
 			// The header is file metadata, not a restorable record: it
@@ -148,50 +140,25 @@ func OpenJournal(path string) (*Journal, error) {
 			var h journalHeader
 			if err := json.Unmarshal(rec.Data, &h); err != nil {
 				j.corrupt++
-				continue
+				return nil
 			}
 			j.format, j.scope = h.Format, h.Scope
-			continue
+			return nil
 		}
 		j.seen[journalKey{rec.Kind, rec.Fp}] = append(json.RawMessage(nil), rec.Data...)
 		j.restored++
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
+		return nil
+	})
+	f.Close()
+	if err != nil {
 		return nil, fmt.Errorf("harness: reading journal: %w", err)
 	}
 	if j.format > JournalFormat {
-		f.Close()
 		return nil, fmt.Errorf("harness: journal %s is format v%d, this build writes v%d — refusing to resume from a newer build's journal",
 			path, j.format, JournalFormat)
 	}
-	// Append after the last complete line. Two torn-tail shapes need a
-	// newline repaired in first (both are SIGKILL-mid-write artifacts):
-	// an unparseable partial line (counted corrupt above), and — subtler —
-	// a record whose bytes all made it to disk but whose trailing newline
-	// did not. The latter parses fine and is restored, but appending
-	// straight after it would merge the next record onto the same line,
-	// corrupting BOTH records on the following open. So the repair is
-	// keyed on how the file actually ends, not on the corrupt count.
-	end, err := f.Seek(0, 2)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: seeking journal: %w", err)
-	}
-	needsNL := false
-	if end > 0 {
-		last := make([]byte, 1)
-		if _, err := f.ReadAt(last, end-1); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("harness: inspecting journal tail: %w", err)
-		}
-		needsNL = last[0] != '\n'
-	}
-	if needsNL {
-		if _, err := f.WriteString("\n"); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("harness: repairing journal tail: %w", err)
-		}
+	if j.log, err = applog.Open(path); err != nil {
+		return nil, fmt.Errorf("harness: opening journal: %w", err)
 	}
 	return j, nil
 }
@@ -236,25 +203,11 @@ func (j *Journal) Scope() string {
 // one line, and fsync'd before Record returns, so an acknowledged record
 // survives a crash. It also becomes immediately restorable via Lookup.
 func (j *Journal) Record(kind, fp string, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("harness: marshalling journal record: %w", err)
-	}
-	line, err := json.Marshal(journalRecord{V: JournalVersion, Kind: kind, Fp: fp, Data: data})
+	data, err := marshalPayload(payload)
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("harness: appending journal record: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("harness: syncing journal: %w", err)
-	}
-	j.seen[journalKey{kind, fp}] = data
-	j.appended++
-	return nil
+	return j.RecordRaw(kind, fp, data)
 }
 
 // EncodeRecord renders one journal record as its wire line (no trailing
@@ -262,10 +215,22 @@ func (j *Journal) Record(kind, fp string, payload any) error {
 // stream results to the gateway as exactly these lines, so the network
 // wire format and the on-disk checkpoint format are one format.
 func EncodeRecord(kind, fp string, payload any) ([]byte, error) {
+	data, err := marshalPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	return encodeRaw(kind, fp, data)
+}
+
+func marshalPayload(payload any) (json.RawMessage, error) {
 	data, err := json.Marshal(payload)
 	if err != nil {
 		return nil, fmt.Errorf("harness: marshalling journal record: %w", err)
 	}
+	return data, nil
+}
+
+func encodeRaw(kind, fp string, data json.RawMessage) ([]byte, error) {
 	return json.Marshal(journalRecord{V: JournalVersion, Kind: kind, Fp: fp, Data: data})
 }
 
@@ -289,18 +254,15 @@ func DecodeRecord(line []byte) (kind, fp string, data json.RawMessage, err error
 // results with it so its journal holds exactly the bytes it deduplicates
 // against.
 func (j *Journal) RecordRaw(kind, fp string, data json.RawMessage) error {
-	line, err := json.Marshal(journalRecord{V: JournalVersion, Kind: kind, Fp: fp, Data: data})
+	line, err := encodeRaw(kind, fp, data)
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
+	if err := j.log.Append(line); err != nil {
 		return fmt.Errorf("harness: appending journal record: %w", err)
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("harness: syncing journal: %w", err)
-	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.seen[journalKey{kind, fp}] = append(json.RawMessage(nil), data...)
 	j.appended++
 	return nil
@@ -358,19 +320,7 @@ func (j *Journal) Appended() int {
 func (j *Journal) Path() string { return j.path }
 
 // Close syncs and closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
-}
+func (j *Journal) Close() error { return j.log.Close() }
 
 // Fingerprint is the cell's stable identity within a scope (the experiment
 // id plus run-shaping options): the workload's renamed label, the variant,

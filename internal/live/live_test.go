@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tvarak/internal/applog"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -273,15 +275,26 @@ func TestServerEndpointsAndNoLeak(t *testing.T) {
 func TestResourceSamplerLedger(t *testing.T) {
 	tl := NewTelemetry()
 	tl.Engine.Accesses.Add(1000)
-	var buf syncBuffer
-	s := StartResourceSampler(tl, &buf, 10*time.Millisecond)
+	path := t.TempDir() + "/ops.jsonl"
+	log, err := applog.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := StartResourceSampler(tl, log, 10*time.Millisecond)
 	time.Sleep(50 * time.Millisecond)
 	tl.Engine.Accesses.Add(9000)
 	time.Sleep(30 * time.Millisecond)
 	if err := s.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := ReadResourceLedger(strings.NewReader(buf.String()))
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := readFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ReadResourceLedger(strings.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +315,7 @@ func TestResourceSamplerLedger(t *testing.T) {
 		t.Error("heap gauge not mirrored")
 	}
 	// Torn tail tolerated.
-	torn := buf.String() + `{"unixMS":123,"heap`
+	torn := data + `{"unixMS":123,"heap`
 	got, err := ReadResourceLedger(strings.NewReader(torn))
 	if err != nil {
 		t.Fatalf("torn tail rejected: %v", err)
@@ -315,24 +328,6 @@ func TestResourceSamplerLedger(t *testing.T) {
 	if _, err := ReadResourceLedger(strings.NewReader(bad)); err == nil {
 		t.Fatal("mid-file corruption accepted")
 	}
-}
-
-// syncBuffer is a goroutine-safe strings.Builder for the sampler test.
-type syncBuffer struct {
-	mu sync.Mutex
-	sb strings.Builder
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sb.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sb.String()
 }
 
 func mkSamples(heap []uint64, gor []int, aps []float64) []ResourceSample {
@@ -485,6 +480,55 @@ func TestStartOpsBundle(t *testing.T) {
 	o2, err := StartOps(tl, OpsConfig{})
 	if err != nil || o2 != nil {
 		t.Fatalf("empty config: %v %v", o2, err)
+	}
+}
+
+// TestStartOpsRepairsTornLedger reopens a ledger a killed process left
+// with a torn final line: the new samples must not merge onto the torn
+// line, so the whole ledger still analyzes with every complete sample.
+func TestStartOpsRepairsTornLedger(t *testing.T) {
+	ledger := t.TempDir() + "/ops.jsonl"
+	full, err := json.Marshal(ResourceSample{UnixMS: 1, HeapAlloc: 1024, Goroutines: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ledger, append(append(full, '\n'), full[:len(full)/2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := StartOps(NewTelemetry(), OpsConfig{LedgerPath: ledger, SampleEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, samples, err := DefaultOpsCheck().AnalyzeLedgerFile(ledger)
+	if err != nil {
+		t.Fatalf("reopened torn ledger does not analyze: %v", err)
+	}
+	// The complete pre-crash sample plus the start and final samples.
+	if len(samples) != 3 || samples[0].UnixMS != 1 {
+		t.Fatalf("got %d samples (first %+v), want the old sample then 2 new ones", len(samples), samples[0])
+	}
+}
+
+// TestOpsLedgerVisibleWhileRunning reads the ledger while the sampler is
+// still running, the way the soak's resource gates do: the samples taken so
+// far must already be on disk.
+func TestOpsLedgerVisibleWhileRunning(t *testing.T) {
+	ledger := t.TempDir() + "/ops.jsonl"
+	o, err := StartOps(NewTelemetry(), OpsConfig{LedgerPath: ledger, SampleEvery: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	time.Sleep(50 * time.Millisecond)
+	_, samples, err := DefaultOpsCheck().AnalyzeLedgerFile(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) == 0 {
+		t.Fatal("no samples on disk before Close")
 	}
 }
 

@@ -1,15 +1,14 @@
 package live
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
+
+	"tvarak/internal/applog"
 )
 
 // ResourceSample is one line of the ops ledger: a wall-clock snapshot of
@@ -30,35 +29,35 @@ type ResourceSample struct {
 	AccessesPerSec float64 `json:"accessesPerSec"`
 }
 
-// ResourceSampler periodically appends ResourceSamples to a writer and
+// ResourceSampler periodically appends ResourceSamples to a log and
 // mirrors the latest values into the telemetry gauges. It reads only
 // runtime and /proc state plus telemetry counters — never simulation
-// state — so sampling cannot perturb results.
+// state — so sampling cannot perturb results. Each sample is fsync'd as it
+// is taken, so a concurrent reader (the soak's resource gates) sees every
+// sample so far.
 type ResourceSampler struct {
-	t      *Telemetry
-	every  time.Duration
-	w      *bufio.Writer
-	enc    *json.Encoder
-	mu     sync.Mutex // guards w/enc across ticker goroutine and Stop
-	stop   chan struct{}
-	done   chan struct{}
+	t     *Telemetry
+	every time.Duration
+	log   *applog.Log
+	stop  chan struct{}
+	done  chan struct{}
+	// Touched only by sample, whose calls are ordered: the first runs
+	// before loop starts and the last after loop exits.
 	prevAt time.Time
 	prevAc uint64
+	err    error // first append failure
 }
 
-// StartResourceSampler begins sampling every interval, writing JSONL to w.
-// The first sample is taken immediately. Stop takes a final sample and
-// flushes.
-func StartResourceSampler(t *Telemetry, w io.Writer, every time.Duration) *ResourceSampler {
+// StartResourceSampler begins sampling every interval, appending JSONL to
+// log. The first sample is taken immediately. Stop takes a final sample.
+func StartResourceSampler(t *Telemetry, log *applog.Log, every time.Duration) *ResourceSampler {
 	if every <= 0 {
 		every = time.Second
 	}
-	bw := bufio.NewWriter(w)
 	s := &ResourceSampler{
 		t:     t,
 		every: every,
-		w:     bw,
-		enc:   json.NewEncoder(bw),
+		log:   log,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -97,16 +96,15 @@ func (s *ResourceSampler) sample() {
 		RSSBytes:    readRSS(),
 		Accesses:    acc,
 	}
-
-	s.mu.Lock()
 	if !s.prevAt.IsZero() {
 		if dt := now.Sub(s.prevAt).Seconds(); dt > 0 && acc >= s.prevAc {
 			smp.AccessesPerSec = float64(acc-s.prevAc) / dt
 		}
 	}
 	s.prevAt, s.prevAc = now, acc
-	_ = s.enc.Encode(smp)
-	s.mu.Unlock()
+	if err := s.log.AppendJSON(smp); err != nil && s.err == nil {
+		s.err = err
+	}
 
 	s.t.Resource.HeapAlloc.SetInt(smp.HeapAlloc)
 	s.t.Resource.Goroutines.SetInt(uint64(smp.Goroutines))
@@ -114,14 +112,13 @@ func (s *ResourceSampler) sample() {
 	s.t.Resource.AccessesPerSec.Set(smp.AccessesPerSec)
 }
 
-// Stop halts the ticker, takes one final sample, and flushes the writer.
+// Stop halts the ticker and takes one final sample. It returns the first
+// error appending a sample hit.
 func (s *ResourceSampler) Stop() error {
 	close(s.stop)
 	<-s.done
 	s.sample()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Flush()
+	return s.err
 }
 
 // readRSS returns the process resident set size in bytes via
@@ -146,31 +143,11 @@ func readRSS() uint64 {
 // lines are skipped; a torn final line (process killed mid-write) is
 // tolerated and dropped.
 func ReadResourceLedger(r io.Reader) ([]ResourceSample, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var lines []string
-	for sc.Scan() {
-		if line := strings.TrimSpace(sc.Text()); line != "" {
-			lines = append(lines, line)
-		}
+	samples, err := applog.ReadAll[ResourceSample](r)
+	if err != nil {
+		return nil, fmt.Errorf("live: bad ledger %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	var out []ResourceSample
-	for i, line := range lines {
-		var s ResourceSample
-		if err := json.Unmarshal([]byte(line), &s); err != nil {
-			// Tolerate only a torn final line (process killed
-			// mid-write); a malformed line mid-file is a real error.
-			if i == len(lines)-1 {
-				break
-			}
-			return nil, fmt.Errorf("live: bad ledger line %d: %w", i+1, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
+	return samples, nil
 }
 
 // OpsConfig configures StartOps: the full live-telemetry bundle a CLI
@@ -182,18 +159,23 @@ type OpsConfig struct {
 	SampleEvery time.Duration // resource sample interval (default 1s)
 }
 
-// Ops bundles the running ops server, resource sampler, and ledger file.
+// Enabled reports whether the config asks for the ops server or the
+// resource ledger.
+func (c OpsConfig) Enabled() bool { return c.Addr != "" || c.LedgerPath != "" }
+
+// Ops bundles the running ops server, resource sampler, and ledger.
 type Ops struct {
 	srv     *Server
 	sampler *ResourceSampler
-	ledger  *os.File
+	ledger  *applog.Log
 }
 
 // StartOps starts whichever of the ops server and resource sampler the
 // config asks for. Returns nil (no cleanup needed) when the config enables
-// neither.
+// neither. A ledger left torn by a killed process is repaired before
+// sampling appends to it.
 func StartOps(t *Telemetry, cfg OpsConfig) (*Ops, error) {
-	if cfg.Addr == "" && cfg.LedgerPath == "" {
+	if !cfg.Enabled() {
 		return nil, nil
 	}
 	o := &Ops{}
@@ -211,15 +193,15 @@ func StartOps(t *Telemetry, cfg OpsConfig) (*Ops, error) {
 		}
 	}
 	if cfg.LedgerPath != "" {
-		f, err := os.OpenFile(cfg.LedgerPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		log, err := applog.Open(cfg.LedgerPath)
 		if err != nil {
 			if o.srv != nil {
 				_ = o.srv.Close()
 			}
 			return nil, err
 		}
-		o.ledger = f
-		o.sampler = StartResourceSampler(t, f, cfg.SampleEvery)
+		o.ledger = log
+		o.sampler = StartResourceSampler(t, log, cfg.SampleEvery)
 	}
 	return o, nil
 }
@@ -232,7 +214,7 @@ func (o *Ops) Addr() string {
 	return o.srv.Addr()
 }
 
-// Close stops the sampler (final sample + flush), closes the ledger, and
+// Close stops the sampler (final sample), closes the ledger, and
 // shuts the server down, waiting for its goroutine. Safe on nil.
 func (o *Ops) Close() error {
 	if o == nil {

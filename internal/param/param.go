@@ -64,6 +64,38 @@ func Designs() []Design {
 // AllDesigns additionally includes the Vilamb extension.
 func AllDesigns() []Design { return append(Designs(), Vilamb) }
 
+// ParseDesigns parses a comma-separated design list: each name is a
+// Design.String() value in any case, or one of the short aliases
+// txb-object and txb-page, with surrounding spaces ignored. The empty
+// string is the empty list.
+func ParseDesigns(s string) ([]Design, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	var out []Design
+	for _, tok := range strings.Split(s, ",") {
+		name := strings.TrimSpace(tok)
+		switch strings.ToLower(name) {
+		case "txb-object":
+			name = TxBObjectCsums.String()
+		case "txb-page":
+			name = TxBPageCsums.String()
+		}
+		found := false
+		for _, d := range AllDesigns() {
+			if strings.EqualFold(name, d.String()) {
+				out = append(out, d)
+				found = true
+				break
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("param: unknown design %q (want baseline, tvarak, txb-object, txb-page or vilamb)", name)
+		}
+	}
+	return out, nil
+}
+
 // VilambEpochCyc is the default epoch between Vilamb daemon passes.
 const VilambEpochCyc = 1 << 20
 

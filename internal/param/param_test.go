@@ -76,6 +76,68 @@ func TestDesignStrings(t *testing.T) {
 	}
 }
 
+func TestParseDesigns(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []Design
+		bad  bool
+	}{
+		{in: "", want: nil},
+		{in: "baseline,tvarak", want: []Design{Baseline, Tvarak}},
+		{in: "baseline, tvarak", want: []Design{Baseline, Tvarak}},
+		{in: " Vilamb ", want: []Design{Vilamb}},
+		{in: "txb-object,txb-page", want: []Design{TxBObjectCsums, TxBPageCsums}},
+		{in: "TxB-Object-Csums,txb-page-csums", want: []Design{TxBObjectCsums, TxBPageCsums}},
+		{in: "TVARAK", want: []Design{Tvarak}},
+		{in: "nova", bad: true},
+		{in: "baseline,,tvarak", bad: true},
+	}
+	for _, tc := range cases {
+		got, err := ParseDesigns(tc.in)
+		if tc.bad != (err != nil) {
+			t.Errorf("ParseDesigns(%q) err = %v, want error: %v", tc.in, err, tc.bad)
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("ParseDesigns(%q) = %v, want %v", tc.in, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("ParseDesigns(%q) = %v, want %v", tc.in, got, tc.want)
+				break
+			}
+		}
+	}
+	// Every design's own name parses back to it.
+	for _, d := range AllDesigns() {
+		if got, err := ParseDesigns(d.String()); err != nil || len(got) != 1 || got[0] != d {
+			t.Errorf("ParseDesigns(%q) = %v, %v", d.String(), got, err)
+		}
+	}
+}
+
+func TestAsyncFlagsConfig(t *testing.T) {
+	cases := []struct {
+		in   AsyncFlags
+		want AsyncConfig
+		bad  bool
+	}{
+		{in: AsyncFlags{}, want: AsyncConfig{}},
+		{in: AsyncFlags{Epoch: 4096, DirtyGran: "range", Incremental: true},
+			want: AsyncConfig{EpochCyc: 4096, DirtyGran: GranRange, Incremental: true}},
+		{in: AsyncFlags{Epoch: 4096, DirtyGran: "page", Battery: true, Incremental: true},
+			want: AsyncConfig{EpochCyc: 4096, DirtyGran: GranLine, Battery: true, Incremental: true}},
+		{in: AsyncFlags{DirtyGran: "word"}, bad: true},
+	}
+	for _, tc := range cases {
+		got, err := tc.in.Config()
+		if tc.bad != (err != nil) || got != tc.want {
+			t.Errorf("%+v.Config() = %+v, %v; want %+v (error: %v)", tc.in, got, err, tc.want, tc.bad)
+		}
+	}
+}
+
 func TestDataWays(t *testing.T) {
 	c := Default(Tvarak)
 	if got := c.DataWays(); got != 13 {

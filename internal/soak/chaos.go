@@ -52,20 +52,12 @@ func EncodeSamplerArgs(opts SamplerOptions) (designs, async string) {
 // ParseSamplerArgs inverts EncodeSamplerArgs on the worker side.
 func ParseSamplerArgs(designs, async string) (SamplerOptions, error) {
 	var opts SamplerOptions
-	if designs != "-" && designs != "" {
-		for _, name := range strings.Split(designs, ",") {
-			found := false
-			for _, d := range param.AllDesigns() {
-				if strings.EqualFold(name, d.String()) {
-					opts.Designs = append(opts.Designs, d)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return opts, fmt.Errorf("soak: unknown design %q in worker args", name)
-			}
+	if designs != "-" {
+		ds, err := param.ParseDesigns(designs)
+		if err != nil {
+			return opts, err
 		}
+		opts.Designs = ds
 	}
 	if async != "-" && async != "" {
 		a, err := param.ParseAsyncLabel(async)

@@ -1,13 +1,10 @@
 package soak
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sync"
 
+	"tvarak/internal/applog"
 	"tvarak/internal/fault"
 	"tvarak/internal/param"
 )
@@ -95,85 +92,45 @@ func (l LedgerLine) Canonical() LedgerLine {
 
 // Ledger is the fsync'd append-only JSONL soak ledger: one line per
 // finished unit, durable before the unit is acknowledged, so a killed
-// soak run loses at most the line being written (the tolerant reader
-// drops a torn tail). Safe for use by one process at a time.
-type Ledger struct {
-	mu sync.Mutex
-	f  *os.File
-}
+// soak run loses at most the line being written (the reader drops a torn
+// tail).
+type Ledger struct{ log *applog.Log }
 
 // CreateLedger creates (or truncates) a soak ledger at path.
 func CreateLedger(path string) (*Ledger, error) {
-	f, err := os.Create(path)
+	log, err := applog.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("soak: creating ledger: %w", err)
 	}
-	return &Ledger{f: f}, nil
+	return &Ledger{log: log}, nil
 }
 
-// Append durably writes one line: marshalled, newline-terminated, fsync'd.
+// Append durably writes one line stamped with LedgerVersion.
 func (l *Ledger) Append(line LedgerLine) error {
 	line.V = LedgerVersion
-	data, err := json.Marshal(line)
-	if err != nil {
-		return fmt.Errorf("soak: marshalling ledger line: %w", err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Write(append(data, '\n')); err != nil {
+	if err := l.log.AppendJSON(line); err != nil {
 		return fmt.Errorf("soak: appending ledger line: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("soak: syncing ledger: %w", err)
 	}
 	return nil
 }
 
 // Close syncs and closes the ledger file.
-func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
-}
+func (l *Ledger) Close() error { return l.log.Close() }
 
 // ReadLedger parses a soak ledger. Blank lines are skipped and a torn
 // final line (the process was killed mid-append) is dropped; any other
 // malformed or wrong-version line is a hard error.
 func ReadLedger(r io.Reader) ([]LedgerLine, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	var raw [][]byte
-	for sc.Scan() {
-		if line := sc.Bytes(); len(line) > 0 {
-			raw = append(raw, append([]byte(nil), line...))
-		}
+	lines, err := applog.ReadAll[LedgerLine](r)
+	if err != nil {
+		return nil, fmt.Errorf("soak: bad ledger %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	var out []LedgerLine
-	for i, line := range raw {
-		var l LedgerLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			if i == len(raw)-1 {
-				break // torn tail
-			}
-			return nil, fmt.Errorf("soak: bad ledger line %d: %w", i+1, err)
-		}
+	for i, l := range lines {
 		if l.V != LedgerVersion {
 			return nil, fmt.Errorf("soak: ledger line %d has version %d, want %d", i+1, l.V, LedgerVersion)
 		}
-		out = append(out, l)
 	}
-	return out, nil
+	return lines, nil
 }
 
 // Problem is one verdict-level violation found in a soak ledger.

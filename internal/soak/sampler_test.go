@@ -244,3 +244,23 @@ func TestSamplerStreamPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSamplerArgsRoundTrip pins the chaos worker's argv protocol: options
+// encoded by the supervisor parse back to the same options in the child.
+func TestSamplerArgsRoundTrip(t *testing.T) {
+	async := param.AsyncConfig{EpochCyc: 4096, DirtyGran: param.GranRange, Incremental: true}
+	for _, opts := range []SamplerOptions{
+		{},
+		{Designs: param.AllDesigns()},
+		{Designs: []param.Design{param.Vilamb}, Async: &async},
+	} {
+		d, a := EncodeSamplerArgs(opts)
+		got, err := ParseSamplerArgs(d, a)
+		if err != nil {
+			t.Fatalf("ParseSamplerArgs(%q, %q): %v", d, a, err)
+		}
+		if !reflect.DeepEqual(got, opts) {
+			t.Errorf("round trip of %+v gave %+v", opts, got)
+		}
+	}
+}
