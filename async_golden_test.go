@@ -134,11 +134,15 @@ func TestAsyncSweepFleetByteIdentical(t *testing.T) {
 	if len(failures) != 0 {
 		t.Fatalf("unexpected unit failures: %v", failures)
 	}
-	sp, ok := plan.(*fleet.SweepPlan)
+	sp, ok := plan.(*harness.SweepPlan)
 	if !ok {
-		t.Fatalf("BuildPlan returned %T, want *fleet.SweepPlan", plan)
+		t.Fatalf("BuildPlan returned %T, want *harness.SweepPlan", plan)
 	}
-	tab, err := sp.MergeTable(sp.Title, payloads, failures, false)
+	man, err := fleet.FailureManifest(sp, payloads, failures, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := sp.MergeTable(payloads, man)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,6 +190,26 @@ cmp "$tmp/clean.json" "$tmp/resumed.json"
 # Table output matches too, modulo the wall-clock timing header lines.
 diff <(grep -v '^# ' "$tmp/clean.txt") <(grep -v '^# ' "$tmp/resumed.txt")
 
+echo "== campaign interrupt-and-resume gate =="
+# The same contract for the fault campaign: a journaled smoke campaign
+# SIGINTed mid-run must resume to a report byte-identical to the clean
+# smoke run above. -workers 1 stretches the run so the signal usually
+# lands mid-campaign; exit 0 (finished first) is the same acceptable race.
+camp=(-campaign -seed 7 -n 56 -workers 1)
+"$tmp/tvarak-fault" "${camp[@]}" -journal "$tmp/camp.journal" \
+    -report "$tmp/camp-part.jsonl" >/dev/null 2>&1 &
+pid=$!
+sleep 0.2
+kill -INT "$pid" 2>/dev/null || true
+rc=0; wait "$pid" || rc=$?
+if [ "$rc" -ne 0 ] && [ "$rc" -ne 130 ]; then
+    echo "journaled campaign exited $rc, want 0 (finished) or 130 (interrupted)" >&2
+    exit 1
+fi
+"$tmp/tvarak-fault" "${camp[@]}" -resume -journal "$tmp/camp.journal" \
+    -report "$tmp/camp-resumed.jsonl" >/dev/null 2>&1
+cmp "$tmp/a.jsonl" "$tmp/camp-resumed.jsonl"
+
 echo "== soak + chaos gate =="
 # A bounded fixed-seed soak inside a hard 90s budget: 16 sampled units
 # across every design with the oracle armed, chaos every 4th unit (the

@@ -191,12 +191,12 @@ func main() {
 	}
 
 	if spec.Kind == "campaign" {
-		if err := mergeCampaign(plan.(*fleet.CampaignPlan), payloads, *report); err != nil {
+		if err := mergeCampaign(plan.(*fault.CampaignPlan), payloads, *report); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if err := mergeSweep(plan.(*fleet.SweepPlan), spec, payloads, failures, *keepGoing, *metricsOut); err != nil {
+	if err := mergeSweep(plan.(*harness.SweepPlan), spec, payloads, failures, *keepGoing, *metricsOut); err != nil {
 		fatal(err)
 	}
 }
@@ -269,8 +269,12 @@ func jobArgs(spec fleet.JobSpec) []string {
 }
 
 // mergeSweep renders the merged table and export exactly like tvarak-sim.
-func mergeSweep(sp *fleet.SweepPlan, spec fleet.JobSpec, payloads []json.RawMessage, failures map[int]string, keepGoing bool, metricsOut string) error {
-	tab, err := sp.MergeTable(sp.Title, payloads, failures, keepGoing)
+func mergeSweep(sp *harness.SweepPlan, spec fleet.JobSpec, payloads []json.RawMessage, failures map[int]string, keepGoing bool, metricsOut string) error {
+	man, err := fleet.FailureManifest(sp, payloads, failures, keepGoing)
+	if err != nil {
+		return err
+	}
+	tab, err := sp.MergeTable(payloads, man)
 	if err != nil {
 		return err
 	}
@@ -307,7 +311,7 @@ func mergeSweep(sp *fleet.SweepPlan, spec fleet.JobSpec, payloads []json.RawMess
 
 // mergeCampaign folds the unit reports into the campaign report and writes
 // the same JSONL a local tvarak-fault -campaign run produces.
-func mergeCampaign(cp *fleet.CampaignPlan, payloads []json.RawMessage, report string) error {
+func mergeCampaign(cp *fault.CampaignPlan, payloads []json.RawMessage, report string) error {
 	rep, mergeErr := cp.MergeReport(payloads)
 	if rep != nil {
 		if report != "" {

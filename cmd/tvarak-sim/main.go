@@ -10,7 +10,7 @@
 //	tvarak-sim -exp all -parallel 8 -progress
 //	tvarak-sim -exp all -journal run.journal        # ^C stops at the next phase boundary
 //	tvarak-sim -exp all -journal run.journal -resume
-//	tvarak-sim -exp all -keep-going -cell-timeout 10m -retries 1
+//	tvarak-sim -exp all -keep-going -cell-timeout 10m
 //	tvarak-sim -exp fig8-stream -metrics-out run.json -sample-every 100000
 //	tvarak-sim -exp fig8-stream -trace trace.jsonl -parallel 1
 //	tvarak-sim -exp all -ops-addr :8080 -ops-ledger ops.jsonl   # curl /metrics /runs /debug/pprof
@@ -28,9 +28,9 @@
 // Long runs are resilient: SIGINT/SIGTERM stop the simulation cooperatively
 // at the next phase boundary and flush every artifact (exit 130); -journal
 // checkpoints each completed cell durably so -resume restores them and the
-// finished output is byte-identical to an uninterrupted run; -keep-going,
-// -cell-timeout and -retries contain failing or hung cells instead of
-// aborting the whole run (see DESIGN.md §7).
+// finished output is byte-identical to an uninterrupted run; -keep-going
+// and -cell-timeout contain failing or hung cells instead of aborting the
+// whole run (see DESIGN.md §7).
 package main
 
 import (
@@ -78,7 +78,6 @@ func main() {
 		journalPath = flag.String("journal", "", "checkpoint each completed cell durably to this JSONL journal; an interrupted run resumes from it with -resume")
 		resume      = flag.Bool("resume", false, "reopen -journal and restore already-checkpointed cells instead of re-simulating them (output is byte-identical to an uninterrupted run)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock bound per simulation cell; a cell exceeding it is marked hung (goroutine dump in the journal) and its worker is released")
-		retries     = flag.Int("retries", 0, "extra attempts for a failing cell before it counts as failed")
 		keepGoing   = flag.Bool("keep-going", false, "do not abort on failed cells: render them as FAILED holes, report them in the manifest, exit 1 at the end")
 	)
 	flag.Parse()
@@ -129,7 +128,7 @@ func main() {
 	opts := experiments.Options{
 		Scale: *scale, FullScale: *full, Designs: designList,
 		Parallel: *parallel, SampleEvery: *sampleEvery,
-		Context: ctx, CellTimeout: *cellTimeout, Retries: *retries, Degrade: *keepGoing,
+		Context: ctx, CellTimeout: *cellTimeout, Degrade: *keepGoing,
 		Async: async,
 	}
 

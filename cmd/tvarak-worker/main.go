@@ -36,7 +36,6 @@ func main() {
 		gateway      = flag.String("gateway", "", "gateway control-plane base URL, e.g. http://host:7609 (required)")
 		name         = flag.String("name", "", "worker name in leases and gateway status (default host:pid)")
 		slots        = flag.Int("slots", 1, "units run concurrently (each slot is an independent lease loop)")
-		retries      = flag.Int("retries", 0, "extra local attempts per sweep unit before reporting it failed to the gateway")
 		acquireDelay = flag.Duration("acquire-delay", 0, "pause between lease grant and unit start (CI uses it to widen the kill window)")
 		opsCfg       = live.RegisterOpsFlags(flag.CommandLine)
 	)
@@ -83,7 +82,6 @@ func main() {
 			w := &fleet.Worker{
 				Gateway:      *gateway,
 				Name:         wname,
-				Retries:      *retries,
 				AcquireDelay: *acquireDelay,
 				Backoff: harness.BackoffPolicy{
 					Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5,

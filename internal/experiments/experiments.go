@@ -47,8 +47,6 @@ type Options struct {
 	// Parallel bounds how many cells simulate concurrently: 0 means one
 	// per CPU, 1 means sequential. Results are identical at any level.
 	Parallel int
-	// Progress, if non-nil, is called after each cell completes.
-	Progress harness.Progress
 	// SampleEvery, when non-zero, samples every cell's measured run into
 	// an epoch time series of the given cycle granularity; the series
 	// rides on each Result and lands in the machine-readable export.
@@ -73,9 +71,6 @@ type Options struct {
 	// cell that exceeds it is marked hung (with a goroutine dump in the
 	// journal) and its worker slot is released.
 	CellTimeout time.Duration
-	// Retries grants failing cells extra attempts before they count as
-	// failed (hung and cancelled cells are never retried).
-	Retries int
 	// Degrade keeps an experiment going past failed cells: the table
 	// renders them as explicit FAILED holes and the Manifest carries the
 	// details, instead of the run aborting.
@@ -143,24 +138,23 @@ func (o Options) Scope(id string) string {
 	return s
 }
 
-// run executes the cells on the options' runner and collects the table.
+// run executes the cells as a sweep plan on the options' runner and
+// merges the table.
 func (o Options) run(id, title string, cells []harness.Cell) (*harness.Table, error) {
 	for i := range cells {
 		cells[i].SampleEvery = o.SampleEvery
 		cells[i].Tracer = o.Tracer
 	}
-	rn := harness.Runner{
+	p := harness.NewSweepPlan(o.Scope(id), cells)
+	p.Title = title
+	return p.Run(harness.Runner{
 		Workers:     o.Parallel,
-		Progress:    o.Progress,
 		Context:     o.Context,
 		Journal:     o.Journal,
-		Scope:       o.Scope(id),
 		CellTimeout: o.CellTimeout,
-		Retries:     o.Retries,
 		Degrade:     o.Degrade,
 		Live:        o.Live,
-	}
-	return rn.RunTable(title, cells)
+	})
 }
 
 // Experiment regenerates one table or figure of the paper.

@@ -2,6 +2,8 @@ package fault
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -34,7 +36,8 @@ type Options struct {
 	Shrink bool
 	// ShrinkBudget caps re-runs per shrunk unit (default 48).
 	ShrinkBudget int
-	// Progress, if non-nil, is called after each unit (serialized).
+	// Progress, if non-nil, is called after each unit completes, run or
+	// restored (serialized, in completion order).
 	Progress func(done, total int, u *UnitReport)
 	// Context, when non-nil, cancels the campaign cooperatively: no new
 	// unit starts once it is done, in-flight units unwind at their
@@ -238,84 +241,94 @@ func AssembleReport(opt Options, units []CampaignUnit, reports []*UnitReport) (*
 }
 
 // Run executes the campaign: one unit per (app, design), the same
-// per-app plan hitting every design. Units are independent simulations,
-// so they run across a worker pool; unit order in the report is fixed
-// (app-major, design-minor) regardless of completion order. The returned
-// error summarizes failed units — the full detail is in the report.
+// per-app plan hitting every design, as a CampaignPlan on a
+// harness.Runner. Units are independent simulations, so they run across
+// a worker pool; unit order in the report is fixed (app-major,
+// design-minor) regardless of completion order. The returned error
+// summarizes failed units — the full detail is in the report.
 func Run(opt Options) (*Report, error) {
+	p, err := NewCampaignPlan(opt)
+	if err != nil {
+		return nil, err
+	}
+	rn := harness.Runner{Workers: opt.Workers, Context: opt.Context, Journal: opt.Journal, Live: opt.Live}
+	payloads, man, runErr := rn.RunPlan(p)
+	rep, err := p.MergeReport(payloads)
+	if rep != nil {
+		rep.Resumed = man.FromJournal
+	}
+	return rep, errors.Join(runErr, err)
+}
+
+// CampaignPlan is a fault campaign as a harness.Plan: the enumeration is
+// CampaignUnits, and each unit's payload is its UnitReport JSON,
+// journaled under "unit". Run executes it locally; the fleet distributes
+// it.
+type CampaignPlan struct {
+	opt   Options
+	units []CampaignUnit
+
+	mu   sync.Mutex // serializes opt.Progress and done
+	done int
+}
+
+// NewCampaignPlan enumerates the campaign opt declares.
+func NewCampaignPlan(opt Options) (*CampaignPlan, error) {
 	units, err := CampaignUnits(opt)
 	if err != nil {
 		return nil, err
 	}
-	reports := make([]*UnitReport, len(units))
-	var (
-		mu      sync.Mutex
-		done    int
-		resumed int
-	)
-	if opt.Live != nil {
-		opt.Live.Board.Begin("fault-campaign", len(units))
-	}
-	_ = harness.Runner{Workers: opt.Workers, Context: opt.Context}.ForEach(len(units), func(i int) error {
-		var u *UnitReport
-		if opt.Journal != nil {
-			var ju UnitReport
-			if opt.Journal.Lookup("unit", units[i].Fp, &ju) {
-				u = &ju
-				if opt.Live != nil {
-					opt.Live.Runner.Restored.AddAt(i, 1)
-					opt.Live.Board.CellRestored(i, units[i].Label, 0, 0)
-				}
-				mu.Lock()
-				resumed++
-				mu.Unlock()
-			}
-		}
-		if u == nil {
-			if opt.Live != nil {
-				opt.Live.Runner.Started.AddAt(i, 1)
-				opt.Live.Board.CellRunning(i, units[i].Label)
-			}
-			var err error
-			u, err = RunSingleUnit(opt.Context, units[i].Params)
-			if u == nil {
-				// Interrupted mid-unit: the slot stays empty (counted as
-				// Interrupted in the fold), nothing is journaled, and the
-				// error stops the pool from starting further units.
-				return err
-			}
-			if opt.Journal != nil {
-				if err := opt.Journal.Record("unit", units[i].Fp, u); err != nil {
-					return fmt.Errorf("fault: journaling unit %s: %w", u.Label(), err)
-				}
-			}
-			if opt.Live != nil {
-				// Executed units (not restored ones) fold their injection
-				// outcomes into the process-wide fault counters: /metrics
-				// reports the work this process actually performed.
-				opt.Live.Fault.Armed.AddAt(i, uint64(u.Armed))
-				opt.Live.Fault.Detected.AddAt(i, u.Detections)
-				opt.Live.Fault.Recovered.AddAt(i, u.Recoveries)
-				if u.Failure != "" {
-					opt.Live.Runner.Failed.AddAt(i, 1)
-					opt.Live.Board.CellFailed(i, units[i].Label, u.Failure, false)
-				} else {
-					opt.Live.Runner.Finished.AddAt(i, 1)
-					opt.Live.Board.CellDone(i, 0, 0)
-				}
-			}
-		}
-		reports[i] = u
-		if opt.Progress != nil {
-			mu.Lock()
-			done++
-			opt.Progress(done, len(units), u)
-			mu.Unlock()
-		}
-		return nil // unit failures live in the report, not the pool
-	})
+	return &CampaignPlan{opt: opt, units: units}, nil
+}
 
-	rep, err := AssembleReport(opt, units, reports)
-	rep.Resumed = resumed
-	return rep, err
+func (p *CampaignPlan) Scope() string            { return p.opt.Scope() }
+func (p *CampaignPlan) Kind() string             { return "unit" }
+func (p *CampaignPlan) Units() int               { return len(p.units) }
+func (p *CampaignPlan) Fingerprint(i int) string { return p.units[i].Fp }
+func (p *CampaignPlan) Label(i int) string       { return p.units[i].Label }
+
+// RunUnit replays campaign unit i via the standalone re-entry API. Design
+// failures (a missed corruption) live inside the report and are delivered
+// as results — AssembleReport folds them into the campaign verdict, and
+// re-running would not change them.
+func (p *CampaignPlan) RunUnit(ctx context.Context, i int, lt *live.Telemetry) (json.RawMessage, error) {
+	return UnitPayload(ctx, p.units[i].Params, lt, i)
+}
+
+// Done summarizes the unit for the board and reports it to opt.Progress.
+func (p *CampaignPlan) Done(_ int, payload json.RawMessage) (harness.Summary, error) {
+	if p.opt.Progress == nil {
+		return UnitSummary(payload)
+	}
+	var u UnitReport
+	if err := json.Unmarshal(payload, &u); err != nil {
+		return harness.Summary{}, err
+	}
+	p.mu.Lock()
+	p.done++
+	p.opt.Progress(p.done, len(p.units), &u)
+	p.mu.Unlock()
+	return harness.Summary{Failure: u.Failure}, nil
+}
+
+// MergeReport folds unit payloads, in enumeration order, into the
+// campaign Report via AssembleReport; nil slots (units that never ran)
+// count as Interrupted. A local Run and the fleet gateway both merge
+// through it, so fault.WriteJSONL of either report is byte-identical.
+func (p *CampaignPlan) MergeReport(payloads []json.RawMessage) (*Report, error) {
+	if len(payloads) != len(p.units) {
+		return nil, fmt.Errorf("fault: merge got %d payloads for %d units", len(payloads), len(p.units))
+	}
+	reports := make([]*UnitReport, len(p.units))
+	for i, data := range payloads {
+		if data == nil {
+			continue
+		}
+		var u UnitReport
+		if err := json.Unmarshal(data, &u); err != nil {
+			return nil, fmt.Errorf("fault: unit %d report does not decode: %w", i, err)
+		}
+		reports[i] = &u
+	}
+	return AssembleReport(p.opt, p.units, reports)
 }

@@ -2,8 +2,11 @@ package fault
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
+	"tvarak/internal/harness"
+	"tvarak/internal/live"
 	"tvarak/internal/param"
 )
 
@@ -78,4 +81,33 @@ func RunSingleUnit(ctx context.Context, p UnitParams) (*UnitReport, error) {
 		return nil, context.Cause(ctx)
 	}
 	return rep, nil
+}
+
+// UnitPayload runs one unit via RunSingleUnit and returns its report as
+// the JSON payload a runner journals, folding the unit's injection
+// outcomes into lt's fault counters (board slot i) when lt is non-nil.
+// Campaign, soak and fleet-worker plans all run units through it, so
+// every kind of run counts injections the same way; restored units never
+// reach it, so /metrics reports the work this process performed.
+func UnitPayload(ctx context.Context, p UnitParams, lt *live.Telemetry, i int) (json.RawMessage, error) {
+	u, err := RunSingleUnit(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	if lt != nil {
+		lt.Fault.Armed.AddAt(i, uint64(u.Armed))
+		lt.Fault.Detected.AddAt(i, u.Detections)
+		lt.Fault.Recovered.AddAt(i, u.Recoveries)
+	}
+	return json.Marshal(u)
+}
+
+// UnitSummary is a unit payload's board summary: the failure its report
+// records, if any (fault units carry no simulated totals).
+func UnitSummary(payload json.RawMessage) (harness.Summary, error) {
+	var u struct {
+		Failure string `json:"failure"`
+	}
+	err := json.Unmarshal(payload, &u)
+	return harness.Summary{Failure: u.Failure}, err
 }

@@ -16,6 +16,7 @@ import (
 
 	"tvarak/internal/fault"
 	"tvarak/internal/harness"
+	"tvarak/internal/live"
 	"tvarak/internal/obs"
 	"tvarak/internal/param"
 	"tvarak/internal/sim"
@@ -105,6 +106,17 @@ func fastBackoff() harness.BackoffPolicy {
 	return harness.BackoffPolicy{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.5, Seed: 1}
 }
 
+// mergeSweep merges a drained sweep job's table the way the gateway CLI
+// does.
+func mergeSweep(p *harness.SweepPlan, title string, payloads []json.RawMessage, failures map[int]string, keepGoing bool) (*harness.Table, error) {
+	man, err := FailureManifest(p, payloads, failures, keepGoing)
+	if err != nil {
+		return nil, err
+	}
+	p.Title = title
+	return p.MergeTable(payloads, man)
+}
+
 // runWorkers runs the workers until each returns, failing the test on any
 // worker error.
 func runWorkers(ctx context.Context, t *testing.T, ws ...*Worker) {
@@ -133,7 +145,7 @@ func TestFleetSweepByteIdenticalToLocalUnderFaults(t *testing.T) {
 	}
 	localStr, localExport := renderTable(t, localTab)
 
-	plan := NewSweepPlan(fleetScope, fleetCells(n))
+	plan := harness.NewSweepPlan(fleetScope, fleetCells(n))
 	g, err := NewGateway(GatewayConfig{
 		Plan:     plan,
 		Spec:     JobSpec{Kind: "toy"},
@@ -154,7 +166,7 @@ func TestFleetSweepByteIdenticalToLocalUnderFaults(t *testing.T) {
 			Gateway: srv.URL,
 			Name:    fmt.Sprintf("w%d", i),
 			Client:  &http.Client{Transport: ft},
-			Build:   func(JobSpec) (Plan, error) { return NewSweepPlan(fleetScope, fleetCells(n)), nil },
+			Build:   func(JobSpec) (harness.Plan, error) { return harness.NewSweepPlan(fleetScope, fleetCells(n)), nil },
 			Backoff: fastBackoff(),
 		}
 	}
@@ -167,7 +179,7 @@ func TestFleetSweepByteIdenticalToLocalUnderFaults(t *testing.T) {
 	if len(failures) != 0 {
 		t.Fatalf("unexpected failures: %v", failures)
 	}
-	tab, err := plan.MergeTable("fleet sweep", payloads, failures, false)
+	tab, err := mergeSweep(plan, "fleet sweep", payloads, failures, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +256,7 @@ func TestFleetTransportFaultScenarios(t *testing.T) {
 					Gateway: srv.URL,
 					Name:    fmt.Sprintf("w%d", i),
 					Client:  &http.Client{Transport: ft},
-					Build:   func(JobSpec) (Plan, error) { return &toyPlan{scope: "toy-faults", n: n}, nil },
+					Build:   func(JobSpec) (harness.Plan, error) { return &toyPlan{scope: "toy-faults", n: n}, nil },
 					Backoff: fastBackoff(),
 				}
 			}
@@ -312,7 +324,7 @@ func TestFleetAbandonedLeaseIsRedelivered(t *testing.T) {
 	defer cancel()
 	w := &Worker{
 		Gateway: srv.URL, Name: "real",
-		Build:   func(JobSpec) (Plan, error) { return &toyPlan{scope: "toy-abandon", n: n}, nil },
+		Build:   func(JobSpec) (harness.Plan, error) { return &toyPlan{scope: "toy-abandon", n: n}, nil },
 		Backoff: fastBackoff(),
 	}
 	runWorkers(ctx, t, w)
@@ -366,7 +378,7 @@ func TestFleetGatewayResumesFromJournal(t *testing.T) {
 	srv1 := serveGateway(t, g1)
 	w1 := &Worker{
 		Gateway: srv1.URL, Name: "phase1",
-		Build: func(JobSpec) (Plan, error) {
+		Build: func(JobSpec) (harness.Plan, error) {
 			return &toyPlan{scope: scope, n: n, run: func(_ context.Context, i int) (json.RawMessage, error) {
 				if i >= 3 {
 					return nil, fmt.Errorf("injected phase-1 crash on unit %d", i)
@@ -407,7 +419,7 @@ func TestFleetGatewayResumesFromJournal(t *testing.T) {
 	ran := map[int]bool{}
 	w2 := &Worker{
 		Gateway: srv2.URL, Name: "phase2",
-		Build: func(JobSpec) (Plan, error) {
+		Build: func(JobSpec) (harness.Plan, error) {
 			return &toyPlan{scope: scope, n: n, run: func(_ context.Context, i int) (json.RawMessage, error) {
 				mu.Lock()
 				ran[i] = true
@@ -457,7 +469,7 @@ func TestFleetKeepGoingRendersFailedRows(t *testing.T) {
 		cells[2].Make = func() harness.Workload { return &failingFleetWorkload{name: "fleet02"} }
 		return cells
 	}
-	plan := NewSweepPlan(fleetScope, makeCells())
+	plan := harness.NewSweepPlan(fleetScope, makeCells())
 	g, err := NewGateway(GatewayConfig{
 		Plan:          plan,
 		Spec:          JobSpec{Kind: "toy"},
@@ -474,7 +486,7 @@ func TestFleetKeepGoingRendersFailedRows(t *testing.T) {
 	defer cancel()
 	w := &Worker{
 		Gateway: srv.URL, Name: "w0",
-		Build:   func(JobSpec) (Plan, error) { return NewSweepPlan(fleetScope, makeCells()), nil },
+		Build:   func(JobSpec) (harness.Plan, error) { return harness.NewSweepPlan(fleetScope, makeCells()), nil },
 		Backoff: fastBackoff(),
 	}
 	runWorkers(ctx, t, w)
@@ -489,7 +501,7 @@ func TestFleetKeepGoingRendersFailedRows(t *testing.T) {
 	if !strings.Contains(failures[2], "injected failure") {
 		t.Errorf("failure %q does not carry the worker's error", failures[2])
 	}
-	tab, err := plan.MergeTable("degraded", payloads, failures, true)
+	tab, err := mergeSweep(plan, "degraded", payloads, failures, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +511,7 @@ func TestFleetKeepGoingRendersFailedRows(t *testing.T) {
 	if tab.Manifest == nil || len(tab.Manifest.Failures) != 1 || tab.Manifest.Completed != n-1 {
 		t.Errorf("manifest = %+v, want 1 failure, %d completed", tab.Manifest, n-1)
 	}
-	if _, err := plan.MergeTable("strict", payloads, failures, false); err == nil {
+	if _, err := mergeSweep(plan, "strict", payloads, failures, false); err == nil {
 		t.Error("strict merge of a degraded job did not fail")
 	}
 }
@@ -520,7 +532,7 @@ func TestFleetHandshakeRejectsSkew(t *testing.T) {
 
 	scopeSkew := &Worker{
 		Gateway: srv.URL, Name: "skewed-scope",
-		Build:   func(JobSpec) (Plan, error) { return &toyPlan{scope: "other-scope", n: n}, nil },
+		Build:   func(JobSpec) (harness.Plan, error) { return &toyPlan{scope: "other-scope", n: n}, nil },
 		Backoff: fastBackoff(),
 	}
 	if err := scopeSkew.Run(ctx); err == nil || !strings.Contains(err.Error(), "scope mismatch") {
@@ -529,7 +541,7 @@ func TestFleetHandshakeRejectsSkew(t *testing.T) {
 
 	fpSkew := &Worker{
 		Gateway: srv.URL, Name: "skewed-fp",
-		Build:   func(JobSpec) (Plan, error) { return &toyPlan{scope: "toy-skew", n: n, fpSalt: "|skew"}, nil },
+		Build:   func(JobSpec) (harness.Plan, error) { return &toyPlan{scope: "toy-skew", n: n, fpSalt: "|skew"}, nil },
 		Backoff: fastBackoff(),
 	}
 	if err := fpSkew.Run(ctx); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
@@ -565,7 +577,7 @@ func TestFleetCampaignMergeByteIdenticalToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan, err := NewCampaignPlan(opt)
+	plan, err := fault.NewCampaignPlan(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +593,7 @@ func TestFleetCampaignMergeByteIdenticalToLocal(t *testing.T) {
 		workers[i] = &Worker{
 			Gateway: srv.URL,
 			Name:    fmt.Sprintf("w%d", i),
-			Build:   func(JobSpec) (Plan, error) { return NewCampaignPlan(opt) },
+			Build:   func(JobSpec) (harness.Plan, error) { return fault.NewCampaignPlan(opt) },
 			Backoff: fastBackoff(),
 		}
 	}
@@ -626,7 +638,7 @@ func TestFleetRidesOutPartition(t *testing.T) {
 	w := &Worker{
 		Gateway: srv.URL, Name: "w0",
 		Client:         &http.Client{Transport: ft},
-		Build:          func(JobSpec) (Plan, error) { return &toyPlan{scope: "toy-partition", n: n}, nil },
+		Build:          func(JobSpec) (harness.Plan, error) { return &toyPlan{scope: "toy-partition", n: n}, nil },
 		Backoff:        harness.BackoffPolicy{Base: 20 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.5, Seed: 1},
 		RequestRetries: 30,
 	}
@@ -690,7 +702,7 @@ func TestFleetGatewayDrainHoldsForLaggardWorkers(t *testing.T) {
 	defer cancel()
 	runWorkers(ctx, t, &Worker{
 		Gateway: srv.URL, Name: "fast",
-		Build:   func(JobSpec) (Plan, error) { return &toyPlan{scope: scope, n: 1}, nil },
+		Build:   func(JobSpec) (harness.Plan, error) { return &toyPlan{scope: scope, n: 1}, nil },
 		Backoff: fastBackoff(),
 	})
 	if _, _, err := g.Wait(ctx); err != nil {
@@ -763,5 +775,70 @@ func TestLegacyJobSpecsPlanUnchanged(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorkerBoardCoversEveryLease: the lease loops of one worker process
+// share its telemetry, and the /runs board shows the whole job — one slot
+// per lease index, begun once per job — for sweeps and campaigns alike,
+// with campaign units folded into the fault counters.
+func TestWorkerBoardCoversEveryLease(t *testing.T) {
+	opt := fault.Options{Seed: 7, N: 8, Apps: []string{"stream", "fio"}}
+	camp, err := fault.NewCampaignPlan(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []struct {
+		name  string
+		build func() harness.Plan
+	}{
+		{"sweep", func() harness.Plan { return harness.NewSweepPlan(fleetScope, fleetCells(4)) }},
+		{"campaign", func() harness.Plan { p, _ := fault.NewCampaignPlan(opt); return p }},
+	}
+	if camp.Units() != 4 {
+		t.Fatalf("campaign has %d units, want 4", camp.Units())
+	}
+	lt := live.NewTelemetry()
+	for _, job := range jobs {
+		plan := job.build()
+		g, err := NewGateway(GatewayConfig{Plan: plan, Spec: JobSpec{Kind: "toy"}, LeaseTTL: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := serveGateway(t, g)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		workers := make([]*Worker, 2)
+		for i := range workers {
+			workers[i] = &Worker{
+				Gateway: srv.URL,
+				Name:    fmt.Sprintf("%s/%d", job.name, i),
+				Build:   func(JobSpec) (harness.Plan, error) { return job.build(), nil },
+				Backoff: fastBackoff(),
+				Live:    lt,
+			}
+		}
+		runWorkers(ctx, t, workers...)
+		if _, _, err := g.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+
+		snap := lt.Board.Snapshot()
+		if snap.Experiment != plan.Scope() || snap.Total != 4 || snap.Done != 4 {
+			t.Errorf("%s: board = %q %d/%d done, want %q 4/4", job.name, snap.Experiment, snap.Done, snap.Total, plan.Scope())
+		}
+		labels := map[string]bool{}
+		for _, c := range snap.Cells {
+			labels[c.Label] = true
+		}
+		for i := 0; i < plan.Units(); i++ {
+			if !labels[plan.Label(i)] {
+				t.Errorf("%s: board lacks unit %d (%s): %+v", job.name, i, plan.Label(i), snap.Cells)
+			}
+		}
+	}
+	if lt.Fault.Armed.Value() == 0 || lt.Fault.Detected.Value() == 0 {
+		t.Errorf("fault counters armed=%d detected=%d, want both non-zero after a campaign",
+			lt.Fault.Armed.Value(), lt.Fault.Detected.Value())
 	}
 }

@@ -17,7 +17,7 @@ import (
 // GatewayConfig configures a fleet gateway.
 type GatewayConfig struct {
 	// Plan is the job's unit enumeration (required).
-	Plan Plan
+	Plan harness.Plan
 	// Spec is the declarative job served to workers at /v1/job. It must
 	// be the spec Plan was built from (tests that construct toy Plans
 	// directly pair them with a matching toy spec on both sides).
@@ -55,7 +55,7 @@ type GatewayConfig struct {
 // an HTTP server, then Wait for resolution.
 type Gateway struct {
 	cfg   GatewayConfig
-	plan  Plan
+	plan  harness.Plan
 	table *leaseTable
 	mux   *http.ServeMux
 

@@ -63,7 +63,7 @@ type leaseTable struct {
 	divergences []string
 }
 
-func newLeaseTable(p Plan, ttl time.Duration, maxDeliveries int, backoff harness.BackoffPolicy, now func() time.Time) *leaseTable {
+func newLeaseTable(p harness.Plan, ttl time.Duration, maxDeliveries int, backoff harness.BackoffPolicy, now func() time.Time) *leaseTable {
 	n := p.Units()
 	t := &leaseTable{
 		units:         make([]unitEntry, n),

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tvarak/internal/harness"
+	"tvarak/internal/live"
 )
 
 // toyPlan is a synthetic Plan for control-plane tests: payloads are pure
@@ -22,17 +23,19 @@ type toyPlan struct {
 }
 
 func (p *toyPlan) Scope() string { return p.scope }
+func (p *toyPlan) Kind() string  { return "toy" }
 func (p *toyPlan) Units() int    { return p.n }
 func (p *toyPlan) Fingerprint(i int) string {
 	return fmt.Sprintf("%s|u%02d%s", p.scope, i, p.fpSalt)
 }
 func (p *toyPlan) Label(i int) string { return fmt.Sprintf("unit%02d", i) }
-func (p *toyPlan) RunUnit(ctx context.Context, i int) (json.RawMessage, error) {
+func (p *toyPlan) RunUnit(ctx context.Context, i int, _ *live.Telemetry) (json.RawMessage, error) {
 	if p.run != nil {
 		return p.run(ctx, i)
 	}
 	return toyPayload(i), nil
 }
+func (p *toyPlan) Done(int, json.RawMessage) (harness.Summary, error) { return harness.Summary{}, nil }
 
 // toyPayload is unit i's canonical result bytes.
 func toyPayload(i int) json.RawMessage {

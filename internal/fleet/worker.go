@@ -31,9 +31,7 @@ type Worker struct {
 	Client *http.Client
 	// Build derives the Plan from the gateway's JobSpec (nil =
 	// BuildPlan). Tests override it to hand back toy plans.
-	Build func(JobSpec) (Plan, error)
-	// Retries is passed into sweep plans' per-unit attempt loop.
-	Retries int
+	Build func(JobSpec) (harness.Plan, error)
 	// AcquireDelay, when non-zero, pauses between being granted a lease
 	// and starting the unit. It exists for the CI gate: it widens the
 	// window in which SIGKILLing this worker leaves an orphaned lease.
@@ -46,7 +44,9 @@ type Worker struct {
 	// partitions; a worker that still cannot reach the gateway exits
 	// with an error and lets redelivery cover its leases.
 	RequestRetries int
-	// Live, when non-nil, receives the worker's runner/engine telemetry.
+	// Live, when non-nil, receives the worker's runner, engine and fault
+	// telemetry: the job's units on the /runs board, slot per lease index.
+	// The lease loops of one process share it.
 	Live *live.Telemetry
 }
 
@@ -95,9 +95,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("fleet: building plan from gateway job spec: %w", err)
 	}
-	if sp, ok := plan.(*SweepPlan); ok {
-		sp.Retries = w.Retries
-		sp.Live = w.Live
+	if w.Live != nil {
+		w.Live.Board.Join(plan.Scope(), plan.Units())
 	}
 	// Join with the locally-derived scope: the gateway rejects a skewed
 	// worker here, with an error naming both scopes, before any lease.
@@ -135,7 +134,7 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // runLease executes one granted lease end to end.
-func (w *Worker) runLease(ctx context.Context, plan Plan, lease LeaseResponse, ttl time.Duration) error {
+func (w *Worker) runLease(ctx context.Context, plan harness.Plan, lease LeaseResponse, ttl time.Duration) error {
 	if lease.Index < 0 || lease.Index >= plan.Units() {
 		return fmt.Errorf("fleet: lease for unit %d outside local enumeration of %d units — gateway/worker skew", lease.Index, plan.Units())
 	}
@@ -184,7 +183,7 @@ func (w *Worker) runLease(ctx context.Context, plan Plan, lease LeaseResponse, t
 		}
 	}()
 
-	payload, runErr := plan.RunUnit(uctx, lease.Index)
+	payload, runErr := harness.Runner{Context: uctx, Live: w.Live}.RunOne(plan, lease.Index)
 	close(hbStop)
 	hbWG.Wait()
 	leaseGone := uctx.Err() != nil && ctx.Err() == nil

@@ -4,14 +4,12 @@ import "time"
 
 // BackoffPolicy is the shared retry-pause schedule: exponential growth from
 // Base, capped at Max, with seeded downward jitter so a herd of retriers
-// (the parallel runner's workers, the fleet gateway's redelivery loop, a
-// fleet worker's request retries) never synchronizes into thundering
-// retries. Delay is a pure function of (policy, attempt), so tests can pin
-// the exact schedule; the jitter only ever shortens a delay, so Max is a
-// hard bound.
+// (the fleet gateway's redelivery loop, a fleet worker's request retries)
+// never synchronizes into thundering retries. Delay is a pure function of
+// (policy, attempt), so tests can pin the exact schedule; the jitter only
+// ever shortens a delay, so Max is a hard bound.
 //
-// The zero value means "no pause": Delay returns 0 for every attempt,
-// preserving the historical retry-immediately default of Runner.
+// The zero value means "no pause": Delay returns 0 for every attempt.
 type BackoffPolicy struct {
 	// Base is the delay before the first retry (attempt 1). Zero disables
 	// backoff entirely.

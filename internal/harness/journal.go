@@ -68,10 +68,10 @@ type Journal struct {
 
 type journalKey struct{ kind, fp string }
 
-// journalRecord is the wire format: version, record kind (RecordCell
-// writes "cell", failures "fail", hang stack dumps "hang", the fault
-// campaign "unit", the soak harness "soak-unit"), the unit fingerprint,
-// and the kind-specific payload.
+// journalRecord is the wire format: version, record kind (a Plan's Kind —
+// "cell" for sweeps, "unit" for fault campaigns, "soak-unit" for the soak
+// harness — or the runner's "fail", "hang" and "manifest"), the unit
+// fingerprint, and the kind-specific payload.
 type journalRecord struct {
 	V    int             `json:"v"`
 	Kind string          `json:"kind"`
@@ -339,11 +339,10 @@ func (c Cell) Fingerprint(scope string) string {
 	return fmt.Sprintf("%s/%s/%s[%s]#%016x", scope, name, c.Config.Design, c.Variant, h.Sum64())
 }
 
-// hangRecord is the payload journaled when the watchdog marks a cell hung:
-// the attempt that hung and a dump of every goroutine's stack at detection
-// time, for post-mortem debugging of the stuck workload.
+// hangRecord is the payload journaled when the watchdog marks a unit hung:
+// a dump of every goroutine's stack at detection time, for post-mortem
+// debugging of the stuck workload.
 type hangRecord struct {
-	Label   string `json:"label"`
-	Attempt int    `json:"attempt"`
-	Stacks  string `json:"stacks"`
+	Label  string `json:"label"`
+	Stacks string `json:"stacks"`
 }

@@ -3,6 +3,7 @@ package harness_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,8 +12,8 @@ import (
 	"time"
 
 	"tvarak/internal/harness"
+	"tvarak/internal/live"
 	"tvarak/internal/obs"
-	"tvarak/internal/param"
 	"tvarak/internal/sim"
 )
 
@@ -24,6 +25,13 @@ func sampledToyCells(n int) []harness.Cell {
 		cells[i].SampleEvery = 5000
 	}
 	return cells
+}
+
+// runScoped runs the cells as a titled sweep plan under scope.
+func runScoped(rn harness.Runner, scope, title string, cells []harness.Cell) (*harness.Table, error) {
+	p := harness.NewSweepPlan(scope, cells)
+	p.Title = title
+	return p.Run(rn)
 }
 
 // renderRun renders a table plus its metrics export exactly like the CLI
@@ -55,15 +63,14 @@ func TestJournalResumeIsByteIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rn := harness.Runner{
-		Workers: 1, Context: ctx, Journal: j1, Scope: scope,
-		Progress: func(done, total int, r *harness.Result, _ time.Duration) {
-			if done == 3 {
-				cancel()
-			}
-		},
+	lt := live.NewTelemetry()
+	lt.Board.Notify = func(_ live.CellEntry, done, _ int) {
+		if done == 3 {
+			cancel()
+		}
 	}
-	_, man, err := rn.RunManifest(sampledToyCells(n))
+	rn := harness.Runner{Workers: 1, Context: ctx, Journal: j1, Live: lt}
+	_, man, err := rn.RunPlan(harness.NewSweepPlan(scope, sampledToyCells(n)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +94,7 @@ func TestJournalResumeIsByteIdentical(t *testing.T) {
 	if j2.Restored() != 4 {
 		t.Fatalf("Restored = %d, want 4", j2.Restored())
 	}
-	tab, err := harness.Runner{Workers: 1, Journal: j2, Scope: scope}.RunTable("resume", sampledToyCells(n))
+	tab, err := runScoped(harness.Runner{Workers: 1, Journal: j2}, scope, "resume", sampledToyCells(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +116,7 @@ func TestJournalScopeMismatchReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (harness.Runner{Workers: 1, Journal: j1, Scope: "scale=1"}).Run(toyCells(2)); err != nil {
+	if _, err := runScoped(harness.Runner{Workers: 1, Journal: j1}, "scale=1", "", toyCells(2)); err != nil {
 		t.Fatal(err)
 	}
 	j1.Close()
@@ -119,7 +126,7 @@ func TestJournalScopeMismatchReruns(t *testing.T) {
 	}
 	defer j2.Close()
 	// A different scope (say, -scale changed) must not resurrect results.
-	_, man, err := harness.Runner{Workers: 1, Journal: j2, Scope: "scale=2"}.RunManifest(toyCells(2))
+	_, man, err := harness.Runner{Workers: 1, Journal: j2}.RunPlan(harness.NewSweepPlan("scale=2", toyCells(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +147,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (harness.Runner{Workers: 1, Journal: j1, Scope: scope}).Run(sampledToyCells(n)); err != nil {
+	if _, err := runScoped(harness.Runner{Workers: 1, Journal: j1}, scope, "torn", sampledToyCells(n)); err != nil {
 		t.Fatal(err)
 	}
 	j1.Close()
@@ -169,7 +176,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if j2.Restored() != n-1 || j2.CorruptLines() != 1 {
 		t.Fatalf("Restored = %d CorruptLines = %d, want %d and 1", j2.Restored(), j2.CorruptLines(), n-1)
 	}
-	tab, err := harness.Runner{Workers: 1, Journal: j2, Scope: scope}.RunTable("torn", sampledToyCells(n))
+	tab, err := runScoped(harness.Runner{Workers: 1, Journal: j2}, scope, "torn", sampledToyCells(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +396,10 @@ func TestRunnerWatchdogMarksHungCell(t *testing.T) {
 	cells := toyCells(3)
 	cells[1].Make = func() harness.Workload { return &spinningWorkload{name: "spin"} }
 	rn := harness.Runner{
-		Workers: 1, Degrade: true, Journal: j, Scope: "hang",
+		Workers: 1, Degrade: true, Journal: j,
 		CellTimeout: 100 * time.Millisecond,
-		Retries:     2, // hung cells must NOT be retried
 	}
-	tab, err := rn.RunTable("hang", cells)
+	tab, err := runScoped(rn, "hang", "hang", cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,9 +410,6 @@ func TestRunnerWatchdogMarksHungCell(t *testing.T) {
 	f := man.Failures[0]
 	if !f.Hung {
 		t.Error("deadline-exceeding cell not marked hung")
-	}
-	if f.Attempts != 1 {
-		t.Errorf("hung cell ran %d attempts, want 1 (no retries for hangs)", f.Attempts)
 	}
 	if man.Completed != 2 {
 		t.Errorf("Completed = %d, want 2 (siblings keep running)", man.Completed)
@@ -421,38 +424,43 @@ func TestRunnerWatchdogMarksHungCell(t *testing.T) {
 	}
 }
 
-func TestRunnerRetriesTransientFailures(t *testing.T) {
-	attempts := 0
-	cells := []harness.Cell{{
-		Config: param.SmallTest(param.Baseline),
-		Make: func() harness.Workload {
-			// The factory runs once per attempt, so counting here observes
-			// the retry loop. Failure is transient: attempts 1-2 fail.
-			attempts++
-			if attempts <= 2 {
-				return &failingWorkload{name: fmt.Sprintf("flaky-attempt-%d", attempts)}
-			}
-			return &toyWorkload{name: "flaky", stores: 50}
-		},
-	}}
-	// A real backoff policy (seeded jitter, exponential, capped) must stay
-	// wall-clock-only: the retried cell's simulated result is the same as
-	// with zero backoff.
-	rn := harness.Runner{
-		Workers: 1, Retries: 2,
-		Backoff: harness.BackoffPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: 0.5, Seed: 42},
-	}
-	rs, man, err := rn.RunManifest(cells)
+// cancellingPlan's unit 0 cancels the run and still returns a payload —
+// the shape of a fault unit whose setup failed on the cancelled engine
+// and came back with a report blaming the design.
+type cancellingPlan struct{ cancel context.CancelFunc }
+
+func (p cancellingPlan) Scope() string            { return "cancelling" }
+func (p cancellingPlan) Kind() string             { return "toy" }
+func (p cancellingPlan) Units() int               { return 2 }
+func (p cancellingPlan) Fingerprint(i int) string { return fmt.Sprintf("toy-%d", i) }
+func (p cancellingPlan) Label(i int) string       { return fmt.Sprintf("toy%d", i) }
+func (p cancellingPlan) RunUnit(_ context.Context, i int, _ *live.Telemetry) (json.RawMessage, error) {
+	p.cancel()
+	return json.RawMessage(`{"failure":"setup: cancelled"}`), nil
+}
+func (p cancellingPlan) Done(int, json.RawMessage) (harness.Summary, error) {
+	return harness.Summary{}, nil
+}
+
+// TestRunnerDiscardsPayloadsAfterCancellation: a unit that returns after
+// the run was cancelled may have observed the cancellation part way, so
+// its payload is never journaled or returned; it re-runs on resume.
+func TestRunnerDiscardsPayloadsAfterCancellation(t *testing.T) {
+	j, err := harness.NewJournal(filepath.Join(t.TempDir(), "run.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Failures) != 0 || man.Completed != 1 {
-		t.Fatalf("manifest = %+v, want a clean completion after retries", man)
+	defer j.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	payloads, man, err := harness.Runner{Workers: 1, Context: ctx, Journal: j}.RunPlan(cancellingPlan{cancel})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rs[0] == nil || rs[0].Workload != "flaky" {
-		t.Fatalf("result = %+v, want the third attempt's", rs[0])
+	if payloads[0] != nil || man.Completed != 0 || len(man.Interrupted) != 1 || !man.Cancelled {
+		t.Fatalf("payloads = %q, manifest = %+v, want unit 0 interrupted and nothing completed", payloads, man)
 	}
-	if attempts != 3 {
-		t.Errorf("workload built %d times, want 3 (two failures + success)", attempts)
+	if n := j.Appended(); n != 1 {
+		t.Errorf("journal appended %d records, want only the interrupted run's manifest", n)
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -45,29 +46,20 @@ type Cell struct {
 	// Trace calls (obs.JSONL is); each cell's events are stamped with its
 	// workload/design/variant label.
 	Tracer obs.Tracer
-
-	// live and index are set by the Runner when live telemetry is
-	// attached: the cell reports its lifecycle to live.Board slot index
-	// and streams phase-boundary progress through a live.CellProbe.
-	live  *live.Telemetry
-	index int
 }
 
 // run executes the cell on a fresh system and applies its labelling. The
-// context cancels the simulation cooperatively at phase boundaries.
-func (c Cell) run(ctx context.Context) (*Result, error) {
+// context cancels the simulation cooperatively at phase boundaries; lt,
+// when non-nil, receives the engine's phase-boundary progress in board
+// slot index.
+func (c Cell) run(ctx context.Context, lt *live.Telemetry, index int) (*Result, error) {
 	w := c.Make()
 	ob := Observation{SampleEvery: c.SampleEvery}
 	if c.Tracer != nil {
-		src := w.Name() + "/" + c.Config.Design.String()
-		if c.Variant != "" {
-			src += "[" + c.Variant + "]"
-		}
-		ob.Tracer = obs.WithSource(c.Tracer, src)
+		ob.Tracer = obs.WithSource(c.Tracer, c.source(w.Name()))
 	}
-	if c.live != nil {
-		c.live.Board.CellRunning(c.index, c.labelFor(w))
-		ob.Probe = c.live.CellProbe(c.index)
+	if lt != nil {
+		ob.Probe = lt.CellProbe(index)
 	}
 	r, err := RunObservedCtx(ctx, c.Config, w, ob)
 	if err != nil {
@@ -80,69 +72,59 @@ func (c Cell) run(ctx context.Context) (*Result, error) {
 	return r, nil
 }
 
-// labelFor renders the cell's display label from an already-built workload
-// (safeLabel re-invokes the factory, which stateful factories notice).
-func (c Cell) labelFor(w Workload) string {
-	name := w.Name()
-	if c.Rename != nil {
-		name = c.Rename(name)
-	}
-	l := name + "/" + c.Config.Design.String()
+// source is the cell's tracer stamp for a workload name:
+// workload/design[variant].
+func (c Cell) source(name string) string {
+	src := name + "/" + c.Config.Design.String()
 	if c.Variant != "" {
-		l += "[" + c.Variant + "]"
+		src += "[" + c.Variant + "]"
 	}
-	return l
+	return src
 }
 
-// Progress is the per-cell completion callback: done cells so far, total
-// cells, the cell's result and its wall-clock duration. The Runner
-// serializes calls, so implementations need no locking of their own.
-type Progress func(done, total int, r *Result, elapsed time.Duration)
-
-// CellFailure describes one cell that exhausted its attempts without
-// producing a result.
+// CellFailure describes one unit that failed without producing a result.
 type CellFailure struct {
-	// Index is the cell's position in the cells slice.
+	// Index is the unit's position in the plan's enumeration.
 	Index int `json:"index"`
-	// Label names the cell (workload/design[variant]).
+	// Label names the unit (workload/design[variant] for cells).
 	Label string `json:"label"`
-	// Err is the final attempt's error.
+	// Err is the attempt's error.
 	Err string `json:"err"`
 	// Stack is the panic stack (contained panics) or the all-goroutine
-	// dump the watchdog took (hung cells); empty for plain errors.
+	// dump the watchdog took (hung units); empty for plain errors.
 	Stack string `json:"stack,omitempty"`
-	// Hung marks a cell that exceeded its deadline or was abandoned by
+	// Hung marks a unit that exceeded its deadline or was abandoned by
 	// the watchdog rather than failing with an error of its own.
 	Hung bool `json:"hung,omitempty"`
-	// Attempts is how many times the cell ran before giving up.
-	Attempts int `json:"attempts"`
 }
 
 // Manifest summarizes a run's partial-completion state: it is the durable
-// answer to "what did this run actually produce" when cells failed, hung,
+// answer to "what did this run actually produce" when units failed, hung,
 // or the run was interrupted. A journaling run appends it as the final
 // journal record whenever it is not clean.
 type Manifest struct {
-	// Total is the number of cells the run was asked for.
+	// Total is the number of units the run was asked for.
 	Total int `json:"total"`
-	// Completed counts cells with a real result, including restored ones.
+	// Completed counts units with a real result, including restored ones.
 	Completed int `json:"completed"`
-	// FromJournal counts completed cells restored from the journal
-	// instead of re-simulated.
+	// FromJournal counts completed units restored from the journal
+	// instead of re-run.
 	FromJournal int `json:"fromJournal,omitempty"`
-	// Failures lists cells that exhausted their attempts, earliest first.
+	// Restored lists the restored units, in enumeration order.
+	Restored []int `json:"restored,omitempty"`
+	// Failures lists units that failed, earliest first.
 	Failures []CellFailure `json:"failures,omitempty"`
-	// Interrupted lists cells whose attempt was cut short by
+	// Interrupted lists units whose attempt was cut short by
 	// cancellation; a resumed run re-executes them.
 	Interrupted []int `json:"interrupted,omitempty"`
-	// NotAttempted lists cells never started — claimed or enumerated
+	// NotAttempted lists units never started — claimed or enumerated
 	// after a failure or cancellation stopped the pool.
 	NotAttempted []int `json:"notAttempted,omitempty"`
 	// Cancelled reports that the run's context was cancelled.
 	Cancelled bool `json:"cancelled,omitempty"`
 }
 
-// Clean reports whether every cell completed and nothing was interrupted.
+// Clean reports whether every unit completed and nothing was interrupted.
 func (m *Manifest) Clean() bool {
 	return m.Completed == m.Total && len(m.Failures) == 0 &&
 		len(m.Interrupted) == 0 && len(m.NotAttempted) == 0 && !m.Cancelled
@@ -171,75 +153,60 @@ func (m *Manifest) String() string {
 		if f.Hung {
 			kind = "hung"
 		}
-		s += fmt.Sprintf("\n  cell %d (%s) %s after %d attempt(s): %s", f.Index, f.Label, kind, f.Attempts, f.Err)
+		s += fmt.Sprintf("\n  cell %d (%s) %s: %s", f.Index, f.Label, kind, f.Err)
 	}
 	return s
 }
 
-// Runner executes cells across a bounded worker pool and reassembles the
-// results in cell order, regardless of completion order. Because every
-// cell is deterministic and isolated, a table rendered from a parallel run
-// is byte-identical to one from a sequential run of the same cells — the
+// watchdogGrace is the extra wall-clock a unit gets past CellTimeout (or
+// past cancellation) to unwind cooperatively before the watchdog abandons
+// it.
+const watchdogGrace = 2 * time.Second
+
+// Runner executes a Plan's units across a bounded worker pool and returns
+// their payloads in enumeration order, regardless of completion order.
+// Every unit is deterministic and isolated, so a table merged from a
+// parallel run is byte-identical to one from a sequential run — the
 // determinism gate in the tests asserts exactly that.
 //
-// The zero value is the strict historical runner. The resilience fields
-// opt into long-run behaviour: cooperative cancellation (Context), durable
-// checkpoint/resume (Journal), per-cell deadlines with a goroutine-dump
-// watchdog (CellTimeout), bounded retry (Retries/Backoff), and degraded
-// completion that renders failed cells as explicit holes instead of
-// aborting the run (Degrade).
+// Sweeps, fault campaigns, soak batches, the soak's chaos child and fleet
+// workers all run their units through the one per-unit path here: journal
+// restore, the contained and watchdogged attempt, the fsync'd record, and
+// the live board and counters. The zero value is the strict runner (the
+// first failure stops the pool); the fields opt into cancellation
+// (Context), checkpoint/resume (Journal), per-unit deadlines
+// (CellTimeout), degraded completion (Degrade) and live telemetry (Live).
 type Runner struct {
-	// Workers bounds how many cells simulate concurrently. Zero or
-	// negative means runtime.NumCPU(); 1 reproduces the historical
-	// sequential behaviour exactly (including stopping at the first
-	// failing cell).
+	// Workers bounds how many units run concurrently. Zero or negative
+	// means runtime.NumCPU(); 1 runs them in enumeration order (stopping
+	// at the first failing unit).
 	Workers int
-	// Progress, if non-nil, is invoked after each cell completes, in
-	// completion order (including cells restored from the journal and,
-	// under Degrade, failure placeholders).
-	Progress Progress
-	// Context, when non-nil, cancels the run cooperatively: no new cell
-	// is claimed once it is done, and in-flight cells stop at their next
-	// simulation phase boundary. Interrupted cells produce no result and
+	// Context, when non-nil, cancels the run cooperatively: no new unit
+	// is claimed once it is done, and in-flight units stop at their next
+	// simulation phase boundary. Interrupted units produce no payload and
 	// are re-executed by a resumed run.
 	Context context.Context
 	// Journal, when non-nil, makes the run crash-safe: each completed
-	// cell's result is fsync'd under its fingerprint before completion is
-	// acknowledged, and cells whose fingerprints the journal already
-	// holds are restored instead of re-run.
+	// unit's payload is fsync'd under the plan's record kind and the
+	// unit's fingerprint before completion is acknowledged, and units the
+	// journal already holds are restored instead of re-run.
 	Journal *Journal
-	// Scope namespaces journal fingerprints (the experiment id plus any
-	// options that shape the cells, e.g. scale).
-	Scope string
-	// CellTimeout, when non-zero, bounds one attempt of one cell. The
-	// deadline propagates into the simulation and normally stops it at a
-	// phase boundary; a cell that still does not return within
-	// WatchdogGrace extra time is marked hung, its goroutine dump is
-	// journaled, and its worker slot is released (the stuck goroutine is
-	// abandoned — Go cannot kill it).
+	// CellTimeout, when non-zero, bounds one unit's attempt. The deadline
+	// propagates into the simulation and normally stops it at a phase
+	// boundary; a unit that still does not return within two more seconds
+	// is marked hung, its goroutine dump is journaled, and its worker
+	// slot is released (the stuck goroutine is abandoned — Go cannot kill
+	// it).
 	CellTimeout time.Duration
-	// WatchdogGrace is the extra wall-clock allowed past CellTimeout (or
-	// past cancellation) for a cell to unwind cooperatively before the
-	// watchdog abandons it. Zero selects 2s.
-	WatchdogGrace time.Duration
-	// Retries is how many extra attempts a failing cell gets before it
-	// counts as failed. Hung and cancelled cells are never retried.
-	Retries int
-	// Backoff schedules the pause before each retry attempt:
-	// seeded-jitter exponential growth from Base capped at Max (the fleet
-	// gateway's redelivery loop shares the same policy). The zero value
-	// retries immediately. Backoff is wall-clock-only — it never changes
-	// a cell's simulated result.
-	Backoff BackoffPolicy
-	// Degrade keeps the run going past exhausted cells: instead of
-	// aborting, the failed cell yields a placeholder Result whose Failure
-	// field is set (tables render it as an explicit hole) plus a
-	// Manifest entry, and every sibling cell still runs.
+	// Degrade keeps the run going past failed units: each becomes a
+	// Manifest entry (merged tables render it as an explicit hole) and
+	// every sibling still runs. Without it the first failure stops the
+	// pool and the run returns an error.
 	Degrade bool
-	// Live, when non-nil, streams cell lifecycle transitions and
+	// Live, when non-nil, streams unit lifecycle transitions and
 	// phase-boundary progress into the wall-clock telemetry bundle (the
 	// /metrics counters and the /runs board). It is strictly read-only
-	// with respect to results: attaching it changes no cell's output.
+	// with respect to results: attaching it changes no payload.
 	Live *live.Telemetry
 }
 
@@ -254,21 +221,22 @@ func (rn Runner) workers(n int) int {
 	return w
 }
 
-func (rn Runner) ctxErr() error {
+func (rn Runner) ctx() context.Context {
 	if rn.Context == nil {
-		return nil
+		return context.Background()
 	}
-	return rn.Context.Err()
+	return rn.Context
 }
+
+func (rn Runner) ctxErr() error { return rn.ctx().Err() }
 
 // ForEach runs job(i) for every i in [0, n) across the worker pool.
 // Indices are claimed in order; after a job fails (or the Context is
 // cancelled), no new index is claimed — in-flight jobs finish. The
 // returned error aggregates every job failure with errors.Join, earliest
 // index first, so the primary (first) error never depends on the worker
-// count. A job that must never stop its siblings (the fault-injection
-// campaign records per-unit failures in its report instead) simply
-// returns nil and keeps its own accounting.
+// count. A job that must never stop its siblings simply returns nil and
+// keeps its own accounting.
 func (rn Runner) ForEach(n int, job func(i int) error) error {
 	err, _ := rn.forEach(n, job)
 	return err
@@ -277,7 +245,7 @@ func (rn Runner) ForEach(n int, job func(i int) error) error {
 // forEach is ForEach plus the skipped-index accounting: it returns the
 // indices that were never attempted because a failure or cancellation
 // stopped the pool first — including indices a worker claimed from the
-// counter but declined to run, which earlier versions silently dropped.
+// counter but declined to run.
 func (rn Runner) forEach(n int, job func(int) error) (error, []int) {
 	if n <= 0 {
 		return nil, nil
@@ -325,239 +293,193 @@ func (rn Runner) forEach(n int, job func(int) error) (error, []int) {
 	return errors.Join(joined...), skipped
 }
 
-// cellOutcome is what one cell ultimately produced.
-type cellOutcome struct {
-	r           *Result
-	fromJournal bool
-	cancelled   bool
-	fail        *CellFailure
-}
-
-// attemptResult is one attempt's raw outcome.
-type attemptResult struct {
-	r     *Result
-	err   error
-	stack string
-	hung  bool
-}
-
-// RunManifest executes every cell and returns the results indexed exactly
-// like cells (nil for cells that produced nothing), plus the run's
-// manifest. Without Degrade, the error aggregates every failed cell
-// (earliest first); with Degrade, failed cells become placeholder results
-// and the error stays nil. Cancellation is never an error here — the
-// manifest reports it.
-func (rn Runner) RunManifest(cells []Cell) ([]*Result, *Manifest, error) {
-	n := len(cells)
+// RunPlan executes every unit of p and returns the payloads indexed
+// exactly like the plan's enumeration (nil for units that produced
+// nothing), plus the run's manifest. Without Degrade the error aggregates
+// every failed unit (earliest first); with Degrade failures live only in
+// the manifest and the error stays nil. Cancellation is never an error
+// here — the manifest reports it.
+func (rn Runner) RunPlan(p Plan) ([]json.RawMessage, *Manifest, error) {
+	n := p.Units()
 	man := &Manifest{Total: n}
 	if n == 0 {
 		return nil, man, nil
 	}
-	results := make([]*Result, n)
+	payloads := make([]json.RawMessage, n)
 	if rn.Live != nil {
-		scope := rn.Scope
-		if scope == "" {
-			scope = "run"
-		}
-		rn.Live.Board.Begin(scope, n)
+		rn.Live.Board.Begin(p.Scope(), n)
 	}
-	var (
-		mu   sync.Mutex // serializes Progress, the done counter and manifest appends
-		done int
-	)
+	var mu sync.Mutex // serializes manifest appends
 	err, skipped := rn.forEach(n, func(i int) error {
-		start := time.Now()
-		out := rn.runCell(i, cells[i])
-		if rn.Live != nil && !out.fromJournal && !out.cancelled {
-			rn.Live.Runner.CellSeconds.Observe(time.Since(start).Seconds())
-		}
+		out := rn.unit(p, i)
 		mu.Lock()
 		switch {
 		case out.fail != nil:
 			man.Failures = append(man.Failures, *out.fail)
-			if rn.Degrade {
-				results[i] = FailureResult(cells[i], i, out.fail)
-			}
-		case out.cancelled:
+		case out.payload == nil:
 			man.Interrupted = append(man.Interrupted, i)
-		case out.r != nil:
-			results[i] = out.r
+		default:
+			payloads[i] = out.payload
 			man.Completed++
-			if out.fromJournal {
-				man.FromJournal++
-			}
-		}
-		if results[i] != nil {
-			done++
-			if rn.Progress != nil {
-				rn.Progress(done, n, results[i], time.Since(start))
+			if out.restored {
+				man.Restored = append(man.Restored, i)
 			}
 		}
 		mu.Unlock()
 		if out.fail != nil && !rn.Degrade {
-			return fmt.Errorf("cell %d (%s): %s", i, out.fail.Label, out.fail.Err)
+			return fmt.Errorf("unit %d (%s): %s", i, out.fail.Label, out.fail.Err)
 		}
 		return nil
 	})
 	man.NotAttempted = skipped
 	man.Cancelled = rn.ctxErr() != nil
+	man.FromJournal = len(man.Restored)
 	sort.Slice(man.Failures, func(a, b int) bool { return man.Failures[a].Index < man.Failures[b].Index })
 	sort.Ints(man.Interrupted)
+	sort.Ints(man.Restored)
 	if rn.Journal != nil && !man.Clean() {
-		_ = rn.Journal.Record("manifest", rn.Scope, man)
+		_ = rn.Journal.Record("manifest", p.Scope(), man)
 	}
-	return results, man, err
+	return payloads, man, err
 }
 
-// Run executes every cell and returns the results indexed exactly like
-// cells. On failure it returns the error of the earliest (by cell order)
-// cell that failed, joined with every other failure; cells not yet
-// started when a failure is observed are skipped and reported in the
-// manifest of RunManifest. Cancellation of the Context is returned as an
-// error wrapping its cause. Under Degrade, failed cells appear as
-// placeholder results instead of errors.
-func (rn Runner) Run(cells []Cell) ([]*Result, error) {
-	rs, man, err := rn.RunManifest(cells)
-	if err != nil {
-		return nil, err
+// RunOne takes unit i of p alone through the per-unit path RunPlan uses
+// and returns its payload, or an error when the unit failed or was
+// interrupted. A fleet worker runs each leased unit through it; the caller
+// owns the board (see live.Board.Join).
+func (rn Runner) RunOne(p Plan, i int) (json.RawMessage, error) {
+	out := rn.unit(p, i)
+	switch {
+	case out.fail != nil:
+		return nil, fmt.Errorf("unit %d (%s): %s", i, out.fail.Label, out.fail.Err)
+	case out.payload == nil:
+		return nil, fmt.Errorf("harness: unit %d interrupted: %w", i, context.Cause(rn.ctx()))
 	}
-	if man.Cancelled {
-		return nil, fmt.Errorf("harness: run cancelled: %w", context.Cause(rn.Context))
-	}
-	return rs, nil
+	return out.payload, nil
 }
 
-// RunTable executes the cells and collects the results, in cell order,
-// into a titled table carrying the run's manifest. Under Degrade or
-// cancellation the table is partial: failed cells render as explicit
-// holes and interrupted cells are simply absent — consult Manifest.
+// RunTable runs the cells as an unscoped sweep and merges their results,
+// in cell order, into a titled table carrying the run's manifest. Under
+// Degrade or cancellation the table is partial: failed cells render as
+// explicit holes and interrupted cells are simply absent — consult
+// Manifest.
 func (rn Runner) RunTable(title string, cells []Cell) (*Table, error) {
-	rs, man, err := rn.RunManifest(cells)
+	p := NewSweepPlan("", cells)
+	p.Title = title
+	return p.Run(rn)
+}
+
+// Run executes every cell and returns the results in cell order. On
+// failure it returns the error of the earliest (by cell order) cell that
+// failed, joined with every other failure. Cancellation of the Context is
+// returned as an error wrapping its cause. Under Degrade, failed cells
+// appear as placeholder results instead of errors.
+func (rn Runner) Run(cells []Cell) ([]*Result, error) {
+	t, err := rn.RunTable("", cells)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Title: title, Manifest: man}
-	for _, r := range rs {
-		if r != nil {
-			t.Add(r)
-		}
+	if t.Manifest.Cancelled {
+		return nil, fmt.Errorf("harness: run cancelled: %w", context.Cause(rn.ctx()))
 	}
-	return t, nil
+	return t.Results, nil
 }
 
-// runCell drives one cell to its final outcome: journal restore, the
-// attempt/retry loop with watchdog containment, and checkpointing.
-func (rn Runner) runCell(i int, c Cell) cellOutcome {
-	c.live, c.index = rn.Live, i
+// unitOutcome is what one unit ultimately produced: a payload (run or
+// restored), a failure, or neither (interrupted by cancellation).
+type unitOutcome struct {
+	payload  json.RawMessage
+	restored bool
+	fail     *CellFailure
+}
+
+// unit drives unit i of p to its final outcome: journal restore, the
+// contained attempt, the durable record, and the board and counters.
+func (rn Runner) unit(p Plan, i int) unitOutcome {
+	lt := rn.Live
 	var fp string
 	if rn.Journal != nil {
-		fp = safeFingerprint(c, rn.Scope, i)
-		var r Result
-		if rn.Journal.Lookup("cell", fp, &r) {
-			if rn.Live != nil {
-				rn.Live.Runner.Restored.AddAt(i, 1)
-				rn.Live.Board.CellRestored(i, safeLabel(c, i), r.Stats.Cycles, r.Stats.Loads+r.Stats.Stores)
+		fp = p.Fingerprint(i)
+		if data := rn.Journal.LookupRaw(p.Kind(), fp); data != nil {
+			// A payload the plan no longer decodes is treated like a
+			// corrupt line: the unit re-runs.
+			if s, err := p.Done(i, data); err == nil {
+				if lt != nil {
+					lt.Runner.Restored.AddAt(i, 1)
+					lt.Board.CellRestored(i, p.Label(i), s.Cycles, s.Accesses)
+				}
+				return unitOutcome{payload: data, restored: true}
 			}
-			return cellOutcome{r: &r, fromJournal: true}
 		}
 	}
-	if rn.Live != nil {
-		rn.Live.Runner.Started.AddAt(i, 1)
+	if lt != nil {
+		lt.Runner.Started.AddAt(i, 1)
+		lt.Board.CellRunning(i, p.Label(i))
 	}
-	attempts := rn.Retries + 1
-	for a := 1; ; a++ {
-		ar := rn.attemptCell(c)
-		if ar.err == nil {
-			if rn.Journal != nil {
-				if err := rn.Journal.Record("cell", fp, ar.r); err != nil {
-					// A checkpoint that cannot be made durable is a cell
-					// failure: acknowledging it would let a crash lose
-					// acknowledged work.
-					ar = attemptResult{err: fmt.Errorf("harness: journaling cell: %w", err)}
-				}
-			}
-			if ar.err == nil {
-				if c.Tracer != nil {
-					obs.WithSource(c.Tracer, safeLabel(c, i)).Trace(obs.Event{
-						Kind: obs.EvCheckpoint, Cycle: ar.r.Stats.Cycles, Aux: uint64(i),
-					})
-				}
-				if rn.Live != nil {
-					rn.Live.Runner.Finished.AddAt(i, 1)
-					rn.Live.Board.CellDone(i, ar.r.Stats.Cycles, ar.r.Stats.Loads+ar.r.Stats.Stores)
-				}
-				return cellOutcome{r: ar.r}
-			}
-		}
-		if errors.Is(ar.err, context.Canceled) && !ar.hung {
-			return cellOutcome{cancelled: true}
-		}
-		if ar.hung || a >= attempts {
-			// Terminal: only now pay for the label (safeLabel re-invokes
-			// the workload factory, which stateful factories notice).
-			fail := &CellFailure{
-				Index: i, Label: safeLabel(c, i), Err: ar.err.Error(),
-				Stack: ar.stack, Hung: ar.hung, Attempts: a,
-			}
-			if rn.Live != nil {
-				rn.Live.Runner.Failed.AddAt(i, 1)
-				if ar.hung {
-					rn.Live.Runner.Watchdog.AddAt(i, 1)
-				}
-				rn.Live.Board.CellFailed(i, fail.Label, fail.Err, ar.hung)
-			}
-			if rn.Journal != nil {
-				if ar.hung {
-					stacks := ar.stack
-					if stacks == "" {
-						stacks = allStacks()
-					}
-					_ = rn.Journal.Record("hang", fp, hangRecord{Label: fail.Label, Attempt: a, Stacks: stacks})
-				}
-				_ = rn.Journal.Record("fail", fp, fail)
-			}
-			return cellOutcome{fail: fail}
-		}
-		if rn.Live != nil {
-			rn.Live.Runner.Retried.AddAt(i, 1)
-			rn.Live.Board.CellRetrying(i)
-		}
-		if !rn.backoff(a) {
-			return cellOutcome{cancelled: true}
+	start := time.Now()
+	ar := rn.attempt(p, i)
+	if ar.cancelled {
+		return unitOutcome{}
+	}
+	if ar.err == nil && rn.Journal != nil {
+		// A checkpoint that cannot be made durable is a unit failure:
+		// acknowledging it would let a crash lose acknowledged work.
+		if err := rn.Journal.RecordRaw(p.Kind(), fp, ar.payload); err != nil {
+			ar.err = fmt.Errorf("harness: journaling unit: %w", err)
 		}
 	}
+	var s Summary
+	if ar.err == nil {
+		s, ar.err = p.Done(i, ar.payload)
+	}
+	if ar.err == nil {
+		if lt != nil {
+			lt.Runner.CellSeconds.Observe(time.Since(start).Seconds())
+			if s.Failure != "" {
+				lt.Runner.Failed.AddAt(i, 1)
+				lt.Board.CellFailed(i, "", s.Failure, false)
+			} else {
+				lt.Runner.Finished.AddAt(i, 1)
+				lt.Board.CellDone(i, s.Cycles, s.Accesses)
+			}
+		}
+		return unitOutcome{payload: ar.payload}
+	}
+	fail := &CellFailure{Index: i, Label: p.Label(i), Err: ar.err.Error(), Stack: ar.stack, Hung: ar.hung}
+	if lt != nil {
+		lt.Runner.Failed.AddAt(i, 1)
+		if ar.hung {
+			lt.Runner.Watchdog.AddAt(i, 1)
+		}
+		lt.Board.CellFailed(i, fail.Label, fail.Err, ar.hung)
+	}
+	if rn.Journal != nil {
+		if ar.hung {
+			stacks := ar.stack
+			if stacks == "" {
+				stacks = allStacks()
+			}
+			_ = rn.Journal.Record("hang", fp, hangRecord{Label: fail.Label, Stacks: stacks})
+		}
+		_ = rn.Journal.Record("fail", fp, fail)
+	}
+	return unitOutcome{fail: fail}
 }
 
-// backoff pauses for the policy's attempt-a delay before retry attempt
-// a+1, abandoning the wait (and reporting false) if the run is cancelled
-// meanwhile.
-func (rn Runner) backoff(a int) bool {
-	d := rn.Backoff.Delay(a)
-	if d <= 0 {
-		return rn.ctxErr() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	var done <-chan struct{}
-	if rn.Context != nil {
-		done = rn.Context.Done()
-	}
-	select {
-	case <-t.C:
-		return true
-	case <-done:
-		return false
-	}
+// attemptResult is one attempt's raw outcome.
+type attemptResult struct {
+	payload   json.RawMessage
+	err       error
+	stack     string
+	hung      bool
+	cancelled bool
 }
 
-// attemptCell runs one attempt of one cell on its own goroutine with
-// panic containment, a deadline that propagates into the simulation, and
-// a hard watchdog that abandons the goroutine if it does not unwind.
-func (rn Runner) attemptCell(c Cell) attemptResult {
-	parent := rn.Context
-	if parent == nil {
-		parent = context.Background()
-	}
+// attempt runs unit i on its own goroutine with panic containment, a
+// deadline that propagates into the simulation, and a hard watchdog that
+// abandons the goroutine if it does not unwind.
+func (rn Runner) attempt(p Plan, i int) attemptResult {
+	parent := rn.ctx()
 	cctx := parent
 	if rn.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -567,58 +489,61 @@ func (rn Runner) attemptCell(c Cell) attemptResult {
 	done := make(chan attemptResult, 1)
 	go func() {
 		defer func() {
-			if p := recover(); p != nil {
+			if r := recover(); r != nil {
 				done <- attemptResult{
-					err:   fmt.Errorf("harness: cell panicked: %v", p),
+					err:   fmt.Errorf("harness: unit panicked: %v", r),
 					stack: string(debug.Stack()),
 				}
 			}
 		}()
-		r, err := c.run(cctx)
-		done <- attemptResult{r: r, err: err}
+		data, err := p.RunUnit(cctx, i, rn.Live)
+		if err == nil && data == nil {
+			err = errors.New("harness: unit produced no payload")
+		}
+		done <- attemptResult{payload: data, err: err}
 	}()
-	grace := rn.WatchdogGrace
-	if grace <= 0 {
-		grace = 2 * time.Second
-	}
 	var hardC <-chan time.Time
 	if rn.CellTimeout > 0 {
-		hard := time.NewTimer(rn.CellTimeout + grace)
+		hard := time.NewTimer(rn.CellTimeout + watchdogGrace)
 		defer hard.Stop()
 		hardC = hard.C
 	}
-	var parentDone <-chan struct{}
-	if rn.Context != nil {
-		parentDone = rn.Context.Done()
-	}
 	select {
 	case ar := <-done:
-		return classify(ar)
+		return rn.classify(ar)
 	case <-hardC:
-	case <-parentDone:
-		// Cancelled: give the cell one grace period to unwind at its next
+	case <-parent.Done():
+		// Cancelled: give the unit one grace period to unwind at its next
 		// phase boundary before abandoning it.
-		g := time.NewTimer(grace)
+		g := time.NewTimer(watchdogGrace)
 		defer g.Stop()
 		select {
 		case ar := <-done:
-			return classify(ar)
+			return rn.classify(ar)
 		case <-g.C:
 		case <-hardC:
 		}
 	}
-	// Watchdog: the cell neither finished nor unwound. Its goroutine
+	// Watchdog: the unit neither finished nor unwound. Its goroutine
 	// cannot be killed — abandon it (it keeps its System alive until it
 	// ever returns) and release the worker slot with a full dump.
 	return attemptResult{
-		err:  fmt.Errorf("harness: cell watchdog: no result within deadline+%v grace, worker abandoned", grace),
+		err:  fmt.Errorf("harness: unit watchdog: no result within deadline+%v grace, worker abandoned", watchdogGrace),
 		hung: true, stack: allStacks(),
 	}
 }
 
-// classify marks graceful deadline unwinds as hung.
-func classify(ar attemptResult) attemptResult {
-	if ar.err != nil && errors.Is(ar.err, context.DeadlineExceeded) {
+// classify sorts an attempt that returned. Once the run is cancelled the
+// attempt counts as interrupted and re-runs on resume — even when it
+// returned a payload, because it may have observed the cancellation part
+// way (a fault unit whose setup failed on the cancelled engine reports
+// that as a design failure). An error past the attempt's own deadline
+// marks the unit hung.
+func (rn Runner) classify(ar attemptResult) attemptResult {
+	switch {
+	case rn.ctxErr() != nil:
+		return attemptResult{cancelled: true}
+	case errors.Is(ar.err, context.DeadlineExceeded):
 		ar.hung = true
 	}
 	return ar
@@ -650,24 +575,10 @@ func safeName(c Cell, i int) (name string) {
 	return n
 }
 
-// CellLabel is the cell's display label (workload/design[variant]),
-// tolerating a panicking workload factory. The fleet uses it to name
-// leases in status output and failure manifests.
-func CellLabel(c Cell, i int) string { return safeLabel(c, i) }
-
-// safeLabel is the cell's display label: workload/design[variant].
-func safeLabel(c Cell, i int) string {
-	l := safeName(c, i) + "/" + c.Config.Design.String()
-	if c.Variant != "" {
-		l += "[" + c.Variant + "]"
-	}
-	return l
-}
-
 // FailureResult synthesizes the degraded-mode placeholder for a failed
 // cell: a Result with the cell's labels, zero statistics, and Failure set,
-// which tables render as an explicit hole. The fleet gateway uses it to
-// render redelivery-exhausted cells exactly like a local Degrade run.
+// which tables render as an explicit hole. A sweep's merge renders every
+// failed unit through it, locally and on the fleet gateway.
 func FailureResult(c Cell, i int, f *CellFailure) *Result {
 	reason := f.Err
 	if f.Hung {

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tvarak/internal/harness"
+	"tvarak/internal/live"
 	"tvarak/internal/param"
 	"tvarak/internal/sim"
 )
@@ -152,7 +152,7 @@ func TestRunnerAggregatesAllFailuresEarliestFirst(t *testing.T) {
 func TestRunManifestReportsNotAttemptedCells(t *testing.T) {
 	cells := toyCells(8)
 	cells[2].Make = func() harness.Workload { return &failingWorkload{name: "bad2"} }
-	rs, man, err := harness.Runner{Workers: 1}.RunManifest(cells)
+	payloads, man, err := harness.Runner{Workers: 1}.RunPlan(harness.NewSweepPlan("", cells))
 	if err == nil {
 		t.Fatal("expected an error")
 	}
@@ -170,9 +170,9 @@ func TestRunManifestReportsNotAttemptedCells(t *testing.T) {
 			t.Fatalf("NotAttempted = %v, want %v", man.NotAttempted, want)
 		}
 	}
-	for i, r := range rs {
-		if (r != nil) != (i < 2) {
-			t.Errorf("result %d presence = %v, want results only for cells 0-1", i, r != nil)
+	for i, data := range payloads {
+		if (data != nil) != (i < 2) {
+			t.Errorf("result %d presence = %v, want results only for cells 0-1", i, data != nil)
 		}
 	}
 }
@@ -183,15 +183,19 @@ func TestRunnerProgressSerializedAndComplete(t *testing.T) {
 		calls []int
 		total = -1
 	)
-	rn := harness.Runner{Workers: 4, Progress: func(done, n int, r *harness.Result, d time.Duration) {
+	// Interactive progress renders from the live board's Notify, which
+	// the runner drives once per finished cell.
+	lt := live.NewTelemetry()
+	lt.Board.Notify = func(e live.CellEntry, done, n int) {
 		mu.Lock()
 		defer mu.Unlock()
 		calls = append(calls, done)
 		total = n
-		if r == nil || d < 0 {
-			t.Error("progress called with empty result")
+		if e.State != live.StateDone || e.Cycles == 0 || e.Label == "" {
+			t.Errorf("progress called with an empty entry: %+v", e)
 		}
-	}}
+	}
+	rn := harness.Runner{Workers: 4, Live: lt}
 	if _, err := rn.Run(toyCells(6)); err != nil {
 		t.Fatal(err)
 	}

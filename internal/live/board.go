@@ -10,11 +10,10 @@ import (
 type CellState string
 
 const (
-	StateQueued   CellState = "queued"
-	StateRunning  CellState = "running"
-	StateRetrying CellState = "retrying"
-	StateFailed   CellState = "failed"
-	StateDone     CellState = "done"
+	StateQueued  CellState = "queued"
+	StateRunning CellState = "running"
+	StateFailed  CellState = "failed"
+	StateDone    CellState = "done"
 )
 
 // boardSlot is one cell's live state. Progress (cycles/accesses) is updated
@@ -85,17 +84,33 @@ func NewBoard() *Board { return &Board{} }
 
 // Begin resets the board for a new experiment of n cells.
 func (b *Board) Begin(experiment string, n int) {
+	b.mu.Lock()
+	b.reset(experiment, n)
+	b.mu.Unlock()
+}
+
+// Join begins the board for experiment unless it already tracks it with n
+// cells: the lease loops of one fleet worker process share a board, and
+// whichever reaches a job first begins it for all of them.
+func (b *Board) Join(experiment string, n int) {
+	b.mu.Lock()
+	if b.experiment != experiment || b.total != n || b.slots.Load() == nil {
+		b.reset(experiment, n)
+	}
+	b.mu.Unlock()
+}
+
+// reset installs fresh slots. Caller holds b.mu.
+func (b *Board) reset(experiment string, n int) {
 	slots := make([]*boardSlot, n)
 	for i := range slots {
 		slots[i] = &boardSlot{state: StateQueued}
 	}
-	b.mu.Lock()
 	b.experiment = experiment
 	b.total = n
 	b.done = 0
 	b.failed = 0
 	b.slots.Store(&slots)
-	b.mu.Unlock()
 }
 
 func (b *Board) slot(i int) *boardSlot {
@@ -131,17 +146,6 @@ func (b *Board) CellProgress(i int, cycles, accesses uint64) {
 	}
 	s.cycles.Store(cycles)
 	s.accesses.Store(accesses)
-}
-
-// CellRetrying marks cell i as waiting to re-attempt.
-func (b *Board) CellRetrying(i int) {
-	s := b.slot(i)
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.state = StateRetrying
-	s.mu.Unlock()
 }
 
 // CellDone marks cell i successfully completed with its final totals.

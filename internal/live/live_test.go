@@ -130,7 +130,6 @@ func TestBoardLifecycle(t *testing.T) {
 	b.CellDone(0, 2000, 100)
 
 	b.CellRunning(1, "b/base")
-	b.CellRetrying(1)
 	b.CellRunning(1, "b/base")
 	b.CellFailed(1, "b/base", "boom", true)
 

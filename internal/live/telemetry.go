@@ -8,9 +8,8 @@ package live
 
 // RunnerMetrics counts harness.Runner cell lifecycle transitions.
 type RunnerMetrics struct {
-	Started     *Counter   // cells that entered their first attempt
+	Started     *Counter   // cells that began executing
 	Finished    *Counter   // cells completed successfully
-	Retried     *Counter   // attempts retried after a containable failure
 	Failed      *Counter   // cells terminally failed
 	Watchdog    *Counter   // watchdog firings (hung cells abandoned)
 	Restored    *Counter   // cells restored from the journal without re-running
@@ -83,8 +82,6 @@ func NewTelemetry() *Telemetry {
 		"Experiment cells that began executing.")
 	t.Runner.Finished = r.NewCounter("tvarak_cells_finished_total",
 		"Experiment cells that completed successfully.")
-	t.Runner.Retried = r.NewCounter("tvarak_cells_retried_total",
-		"Cell attempts retried after a containable failure.")
 	t.Runner.Failed = r.NewCounter("tvarak_cells_failed_total",
 		"Experiment cells that failed terminally.")
 	t.Runner.Watchdog = r.NewCounter("tvarak_cells_watchdog_total",

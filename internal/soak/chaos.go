@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"tvarak/internal/fault"
 	"tvarak/internal/harness"
 	"tvarak/internal/param"
 )
@@ -85,9 +83,6 @@ func ParseSamplerArgs(designs, async string) (SamplerOptions, error) {
 // RestoredMarker if the journal satisfied the unit, DoneMarker only after
 // the report file is durably in place.
 func RunWorker(out io.Writer, master int64, index int, journalPath, outPath string, resume bool, opts SamplerOptions) error {
-	unit := UnitAtOpt(master, index, opts)
-	fp := unit.Fingerprint(master)
-
 	var (
 		j   *harness.Journal
 		err error
@@ -104,25 +99,14 @@ func RunWorker(out io.Writer, master int64, index int, journalPath, outPath stri
 
 	fmt.Fprintln(out, StartMarker)
 
-	var rep fault.UnitReport
-	if j.Lookup(journalKind, fp, &rep) {
-		fmt.Fprintln(out, RestoredMarker)
-	} else {
-		r, err := fault.RunSingleUnit(context.Background(), unit.UnitParams)
-		if err != nil {
-			return fmt.Errorf("soak: worker unit %d: %w", index, err)
-		}
-		rep = *r
-		if err := j.Record(journalKind, fp, &rep); err != nil {
-			return err
-		}
-	}
-
-	data, err := json.Marshal(&rep)
+	payloads, man, err := harness.Runner{Workers: 1, Journal: j}.RunPlan(streamPlan(master, index, 1, opts))
 	if err != nil {
-		return fmt.Errorf("soak: worker marshalling report: %w", err)
+		return fmt.Errorf("soak: worker unit %d: %w", index, err)
 	}
-	if err := atomicWrite(outPath, data); err != nil {
+	if man.FromJournal == 1 {
+		fmt.Fprintln(out, RestoredMarker)
+	}
+	if err := atomicWrite(outPath, payloads[0]); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, DoneMarker)

@@ -56,8 +56,8 @@ type Config struct {
 	OpsLedgerPath string
 	// LedgerPath is where the soak ledger is written. Required.
 	LedgerPath string
-	// Journal, when non-nil, makes the supervisor itself crash-safe:
-	// finished units are fsync'd under their soak fingerprint and a
+	// Journal, when non-nil, makes the supervisor itself crash-safe: the
+	// runner fsyncs finished units under their soak fingerprint and a
 	// reopened journal restores them instead of re-running.
 	Journal *harness.Journal
 	// Live, when non-nil, folds unit outcomes into the process-wide
@@ -139,7 +139,7 @@ func Run(cfg Config) (*Summary, error) {
 	defer ledger.Close()
 
 	sum := &Summary{}
-	pool := harness.Runner{Workers: cfg.Parallel, Context: runCtx}
+	pool := harness.Runner{Workers: cfg.Parallel, Context: runCtx, Journal: cfg.Journal, Live: cfg.Live}
 	workers := cfg.Parallel
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -198,15 +198,28 @@ func Run(cfg Config) (*Summary, error) {
 			n = cfg.Units - start
 		}
 
+		// The batch's reference reports run (or restore) on the runner;
+		// the ledger lines, chaos cycles included, are built on the same
+		// pool from their payloads.
+		plan := streamPlan(cfg.Seed, start, n, cfg.samplerOpts())
+		payloads, man, runErr := pool.RunPlan(plan)
+		restored := make([]bool, n)
+		for _, k := range man.Restored {
+			restored[k] = true
+		}
 		lines := make([]*LedgerLine, n)
-		poolErr := pool.ForEach(n, func(k int) error {
-			line, err := runOne(runCtx, cfg, start+k)
+		lineErr := pool.ForEach(n, func(k int) error {
+			if payloads[k] == nil {
+				return nil
+			}
+			line, err := ledgerLine(runCtx, cfg, plan, k, payloads[k], restored[k])
 			if err != nil {
 				return err
 			}
 			lines[k] = line
 			return nil
 		})
+		poolErr := errors.Join(runErr, lineErr)
 
 		// Keep only the contiguous prefix so the ledger is always an exact
 		// [0, Units) prefix of the stream — the invariant the same-seed
@@ -264,69 +277,70 @@ func Run(cfg Config) (*Summary, error) {
 	return sum, nil
 }
 
-// runOne produces the ledger line for stream unit index: journal-restore
-// or simulate the reference report in-process, then — on chaos units —
-// run the kill/resume worker cycle against the reference's bytes.
-func runOne(ctx context.Context, cfg Config, index int) (*LedgerLine, error) {
-	unit := UnitAtOpt(cfg.Seed, index, cfg.samplerOpts())
-	fp := unit.Fingerprint(cfg.Seed)
-	began := time.Now()
+// streamPlan is units [start, start+n) of the soak stream as a
+// harness.Plan under the "soak-unit" journal kind: the supervisor runs
+// each batch's reference reports through it, and a chaos worker child its
+// one unit.
+func streamPlan(master int64, start, n int, opts SamplerOptions) *unitPlan {
+	p := &unitPlan{master: master, units: make([]Unit, n), wall: make([]time.Duration, n)}
+	for k := range p.units {
+		p.units[k] = UnitAtOpt(master, start+k, opts)
+	}
+	return p
+}
 
+// unitPlan is a run of soak units; see streamPlan.
+type unitPlan struct {
+	master int64
+	units  []Unit
+	// wall is each executed unit's wall time, written once by the unit's
+	// worker and read after the run (restored units stay zero).
+	wall []time.Duration
+}
+
+func (p *unitPlan) Scope() string            { return fmt.Sprintf("soak|seed=%d", p.master) }
+func (p *unitPlan) Kind() string             { return journalKind }
+func (p *unitPlan) Units() int               { return len(p.units) }
+func (p *unitPlan) Fingerprint(i int) string { return p.units[i].Fingerprint(p.master) }
+func (p *unitPlan) Label(i int) string {
+	return fmt.Sprintf("#%d %s", p.units[i].Index, p.units[i].Key())
+}
+
+func (p *unitPlan) RunUnit(ctx context.Context, i int, lt *live.Telemetry) (json.RawMessage, error) {
+	began := time.Now()
+	data, err := fault.UnitPayload(ctx, p.units[i].UnitParams, lt, i)
+	p.wall[i] = time.Since(began)
+	return data, err
+}
+
+func (p *unitPlan) Done(_ int, payload json.RawMessage) (harness.Summary, error) {
+	return fault.UnitSummary(payload)
+}
+
+// ledgerLine builds the ledger line for unit k of plan from its reference
+// payload, running the kill/resume worker cycle against the payload's
+// bytes on chaos units.
+func ledgerLine(ctx context.Context, cfg Config, plan *unitPlan, k int, payload json.RawMessage, restored bool) (*LedgerLine, error) {
+	began := time.Now()
+	unit := plan.units[k]
+	var rep fault.UnitReport
+	if err := json.Unmarshal(payload, &rep); err != nil {
+		return nil, fmt.Errorf("soak: unit %d report: %w", unit.Index, err)
+	}
 	line := &LedgerLine{
 		Seed:     cfg.Seed,
-		Index:    index,
-		Key:      fp,
+		Index:    unit.Index,
+		Key:      unit.Fingerprint(cfg.Seed),
 		App:      unit.App,
 		Design:   unit.Design.String(),
 		N:        unit.N,
 		UnitSeed: unit.Seed,
-	}
-
-	var rep fault.UnitReport
-	if cfg.Journal != nil && cfg.Journal.Lookup(journalKind, fp, &rep) {
-		line.Resumed = true
-		if cfg.Live != nil {
-			cfg.Live.Runner.Restored.AddAt(index, 1)
-		}
-	} else {
-		if cfg.Live != nil {
-			cfg.Live.Runner.Started.AddAt(index, 1)
-		}
-		r, err := fault.RunSingleUnit(ctx, unit.UnitParams)
-		if err != nil {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			// Belt and braces on top of the fault layer's own voiding: a
-			// unit that observed a firing deadline must never reach the
-			// journal or the ledger, however far it got.
-			return nil, context.Cause(ctx)
-		}
-		rep = *r
-		if cfg.Journal != nil {
-			if err := cfg.Journal.Record(journalKind, fp, &rep); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.Live != nil {
-			cfg.Live.Fault.Armed.AddAt(index, uint64(rep.Armed))
-			cfg.Live.Fault.Detected.AddAt(index, rep.Detections)
-			cfg.Live.Fault.Recovered.AddAt(index, rep.Recoveries)
-			if rep.Failure != "" {
-				cfg.Live.Runner.Failed.AddAt(index, 1)
-			} else {
-				cfg.Live.Runner.Finished.AddAt(index, 1)
-			}
-		}
+		Resumed:  restored,
 	}
 	line.fromReport(&rep)
 
-	if cfg.ChaosEvery > 0 && (index+1)%cfg.ChaosEvery == 0 {
-		reference, err := json.Marshal(&rep)
-		if err != nil {
-			return nil, err
-		}
-		cr, err := runChaos(ctx, cfg, unit, reference)
+	if cfg.ChaosEvery > 0 && (unit.Index+1)%cfg.ChaosEvery == 0 {
+		cr, err := runChaos(ctx, cfg, unit, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -337,6 +351,6 @@ func runOne(ctx context.Context, cfg Config, index int) (*LedgerLine, error) {
 		line.Resumed = line.Resumed || cr.Resumed
 	}
 
-	line.WallMS = time.Since(began).Milliseconds()
+	line.WallMS = (plan.wall[k] + time.Since(began)).Milliseconds()
 	return line, nil
 }

@@ -81,8 +81,6 @@ type (
 	// Runner executes cells across a bounded worker pool, reassembling
 	// results in cell order so tables are identical at any parallelism.
 	Runner = harness.Runner
-	// Progress is the per-cell completion callback a Runner invokes.
-	Progress = harness.Progress
 	// Tracer receives structured simulation events (fills, writebacks,
 	// diff stashes, corruptions, ...); attach via Engine.Tracer or
 	// Observation.Tracer.
@@ -107,7 +105,7 @@ type (
 	// RunManifest accounts for a run's partial completion: failed, hung,
 	// interrupted and never-attempted cells.
 	RunManifest = harness.Manifest
-	// CellFailure describes one cell that exhausted its attempts.
+	// CellFailure describes one cell that failed without a result.
 	CellFailure = harness.CellFailure
 )
 
@@ -246,8 +244,8 @@ func NewMetricsExport(tool string) *MetricsExport { return obs.NewExport(tool) }
 
 // RunCells executes independent simulation cells on a bounded worker pool
 // (workers <= 0 means one per CPU) and returns results in cell order.
-// Results are identical at any worker count; see Runner for progress
-// callbacks and table assembly.
+// Results are identical at any worker count; see Runner for journaling,
+// live telemetry and table assembly.
 func RunCells(cells []Cell, workers int) ([]*Result, error) {
 	return harness.Runner{Workers: workers}.Run(cells)
 }
