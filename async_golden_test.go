@@ -122,25 +122,18 @@ func TestAsyncSweepFleetByteIdentical(t *testing.T) {
 		w := &fleet.Worker{Gateway: srv.URL, Name: name, Build: fleet.BuildPlan}
 		go func() { errs <- w.Run(ctx) }()
 	}
+	payloads, man, err := (&fleet.Flags{}).Run(g, harness.Runner{Context: ctx})
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("worker failed: %v", err)
 		}
 	}
-	payloads, failures, err := g.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failures) != 0 {
-		t.Fatalf("unexpected unit failures: %v", failures)
+	if err != nil || !man.Clean() {
+		t.Fatalf("fleet job: err=%v manifest=%v", err, man)
 	}
 	sp, ok := plan.(*harness.SweepPlan)
 	if !ok {
 		t.Fatalf("BuildPlan returned %T, want *harness.SweepPlan", plan)
-	}
-	man, err := fleet.FailureManifest(sp, payloads, failures, false)
-	if err != nil {
-		t.Fatal(err)
 	}
 	tab, err := sp.MergeTable(payloads, man)
 	if err != nil {

@@ -46,8 +46,8 @@ echo "== go test -race (parallel harness gate) =="
 # from pool workers while chaos children run, and its e2e tests re-exec
 # the race-instrumented test binary as the worker.
 # fleet: the gateway's lease table and drain path are hit by concurrent
-# worker goroutines (and its tests run whole in-process fleets through a
-# fault-injecting transport).
+# worker goroutines and by the runner slots waiting on their units (and its
+# tests run whole in-process fleets through a fault-injecting transport).
 # swred: the async (Vilamb-family) daemon passes run on dedicated daemon
 # cores concurrently with foreground mutators; the dirty-set property
 # suite and epoch-aware verdict paths must hold under the race detector.
@@ -230,44 +230,61 @@ soak=(-seed 11 -units 16 -budget 90s -ops-sample 100ms)
 "$tmp/soakcheck" -ledger "$tmp/soak-b.jsonl" -canon >"$tmp/soak-b.canon"
 cmp "$tmp/soak-a.canon" "$tmp/soak-b.canon"
 
-echo "== fleet sweep gate =="
-# The same sweep the interrupt gate ran locally, now through a gateway and
-# two localhost workers — with one worker SIGKILLed mid-sweep. The dead
-# worker's lease must expire and be re-dispatched (>=1 redelivery in the
-# summary), and the merged table and export must come out byte-identical
-# to the local run's (DESIGN.md §12). -acquire-delay holds the victim
-# between lease grant and unit start so the kill reliably orphans a lease.
-go build -o "$tmp/tvarak-gateway" ./cmd/tvarak-gateway
+# serve_fleet NAME CMD...: run the -fleet job CMD against two localhost
+# workers, one of them SIGKILLed mid-job. -acquire-delay holds the victim
+# between lease grant and unit start so the kill reliably orphans a lease,
+# which must expire and be re-dispatched (>=1 redelivery in the summary).
+# The job's stdout lands in $tmp/NAME.txt.
 go build -o "$tmp/tvarak-worker" ./cmd/tvarak-worker
-"$tmp/tvarak-gateway" "${res[@]}" \
-    -listen 127.0.0.1:0 -addr-file "$tmp/gw.addr" \
-    -lease-ttl 2s -redeliver-backoff 100ms \
-    -journal "$tmp/fleet.journal" -summary-file "$tmp/fleet-summary.json" \
-    -metrics-out "$tmp/fleet.json" >"$tmp/fleet.txt" 2>/dev/null &
-gwpid=$!
-gwaddr=""
-for _ in $(seq 1 100); do
-    if [ -s "$tmp/gw.addr" ]; then gwaddr=$(cat "$tmp/gw.addr"); break; fi
-    sleep 0.05
-done
-if [ -z "$gwaddr" ]; then
-    echo "fleet gate: gateway address never appeared in $tmp/gw.addr" >&2
-    exit 1
-fi
-"$tmp/tvarak-worker" -gateway "http://$gwaddr" -name victim \
-    -acquire-delay 5s >/dev/null 2>&1 &
-victim=$!
-sleep 1
-kill -9 "$victim" 2>/dev/null || true
-"$tmp/tvarak-worker" -gateway "http://$gwaddr" -name survivor -slots 2 2>/dev/null
-wait "$gwpid"
-grep -Eq '"redelivered": *[1-9]' "$tmp/fleet-summary.json" || {
-    echo "fleet gate: no redelivery after SIGKILLing a worker:" >&2
-    cat "$tmp/fleet-summary.json" >&2
-    exit 1
+serve_fleet() {
+    local name=$1
+    shift
+    "$@" -ops-addr 127.0.0.1:0 -ops-addr-file "$tmp/$name.addr" \
+        -lease-ttl 2s -redeliver-backoff 100ms \
+        -summary-file "$tmp/$name-summary.json" >"$tmp/$name.txt" 2>/dev/null &
+    local pid=$! addr=""
+    for _ in $(seq 1 100); do
+        if [ -s "$tmp/$name.addr" ]; then addr=$(cat "$tmp/$name.addr"); break; fi
+        sleep 0.05
+    done
+    if [ -z "$addr" ]; then
+        echo "$name gate: gateway address never appeared in $tmp/$name.addr" >&2
+        exit 1
+    fi
+    "$tmp/tvarak-worker" -gateway "http://$addr" -name victim \
+        -acquire-delay 5s >/dev/null 2>&1 &
+    local victim=$!
+    sleep 1
+    kill -9 "$victim" 2>/dev/null || true
+    wait "$victim" 2>/dev/null || true
+    "$tmp/tvarak-worker" -gateway "http://$addr" -name survivor -slots 2 2>/dev/null
+    wait "$pid"
+    grep -Eq '"redelivered": *[1-9]' "$tmp/$name-summary.json" || {
+        echo "$name gate: no redelivery after SIGKILLing a worker:" >&2
+        cat "$tmp/$name-summary.json" >&2
+        exit 1
+    }
 }
+
+echo "== fleet sweep gate =="
+# The same sweep the interrupt gate ran locally, now served by tvarak-sim
+# -fleet to two localhost workers, one SIGKILLed mid-sweep: the merged
+# table and export must come out byte-identical to the local run's
+# (DESIGN.md §12). The fleet run's journal is a local run's journal:
+# resumed by a local tvarak-sim it restores every cell (none simulated)
+# and reproduces the same export.
+serve_fleet fleet "$tmp/tvarak-sim" "${res[@]}" -fleet \
+    -journal "$tmp/fleet.journal" -metrics-out "$tmp/fleet.json"
 cmp "$tmp/clean.json" "$tmp/fleet.json"
 diff <(grep -v '^# ' "$tmp/clean.txt") <(grep -v '^# ' "$tmp/fleet.txt")
+"$tmp/tvarak-sim" "${res[@]}" -resume -journal "$tmp/fleet.journal" -progress \
+    -metrics-out "$tmp/fleet-resumed.json" >/dev/null 2>"$tmp/fleet-resumed.err"
+cmp "$tmp/clean.json" "$tmp/fleet-resumed.json"
+if grep '^  \[' "$tmp/fleet-resumed.err" | grep -vq ' restored '; then
+    echo "fleet sweep gate: resuming the fleet journal locally simulated cells:" >&2
+    cat "$tmp/fleet-resumed.err" >&2
+    exit 1
+fi
 
 echo "== vilamb fleet sweep gate =="
 # The async-family reduced sweep (ext-async-mini: Baseline/TVARAK anchors
@@ -278,34 +295,17 @@ echo "== vilamb fleet sweep gate =="
 # tvarak-sim run of the same grid.
 async=(-exp ext-async-mini -scale 0.02)
 "$tmp/tvarak-sim" "${async[@]}" -metrics-out "$tmp/async-clean.json" >"$tmp/async-clean.txt"
-"$tmp/tvarak-gateway" "${async[@]}" \
-    -listen 127.0.0.1:0 -addr-file "$tmp/agw.addr" \
-    -lease-ttl 2s -redeliver-backoff 100ms \
-    -journal "$tmp/async-fleet.journal" -summary-file "$tmp/async-summary.json" \
-    -metrics-out "$tmp/async-fleet.json" >"$tmp/async-fleet.txt" 2>/dev/null &
-gwpid=$!
-gwaddr=""
-for _ in $(seq 1 100); do
-    if [ -s "$tmp/agw.addr" ]; then gwaddr=$(cat "$tmp/agw.addr"); break; fi
-    sleep 0.05
-done
-if [ -z "$gwaddr" ]; then
-    echo "vilamb fleet gate: gateway address never appeared in $tmp/agw.addr" >&2
-    exit 1
-fi
-"$tmp/tvarak-worker" -gateway "http://$gwaddr" -name victim \
-    -acquire-delay 5s >/dev/null 2>&1 &
-victim=$!
-sleep 1
-kill -9 "$victim" 2>/dev/null || true
-"$tmp/tvarak-worker" -gateway "http://$gwaddr" -name survivor -slots 2 2>/dev/null
-wait "$gwpid"
-grep -Eq '"redelivered": *[1-9]' "$tmp/async-summary.json" || {
-    echo "vilamb fleet gate: no redelivery after SIGKILLing a worker:" >&2
-    cat "$tmp/async-summary.json" >&2
-    exit 1
-}
+serve_fleet async-fleet "$tmp/tvarak-sim" "${async[@]}" -fleet \
+    -journal "$tmp/async-fleet.journal" -metrics-out "$tmp/async-fleet.json"
 cmp "$tmp/async-clean.json" "$tmp/async-fleet.json"
 diff <(grep -v '^# ' "$tmp/async-clean.txt") <(grep -v '^# ' "$tmp/async-fleet.txt")
+
+echo "== fleet campaign gate =="
+# The smoke campaign served by tvarak-fault -campaign -fleet to the same
+# kill-a-worker fleet: the merged JSONL report must be byte-identical to
+# the local smoke run's.
+serve_fleet camp-fleet "$tmp/tvarak-fault" -campaign -seed 7 -n 56 -fleet \
+    -report "$tmp/camp-fleet.jsonl"
+cmp "$tmp/a.jsonl" "$tmp/camp-fleet.jsonl"
 
 echo "ci.sh: all checks passed"

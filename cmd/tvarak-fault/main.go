@@ -15,6 +15,10 @@
 // every one). -report writes the per-injection JSONL report; the same
 // -seed always yields byte-identical report bytes (see EXPERIMENTS.md
 // for reproducing a failed campaign from its seed).
+//
+// With -campaign -fleet the campaign's units are served to tvarak-worker
+// processes from /v1/ on the ops server instead (DESIGN.md §12): the
+// report and the journal are those of a local run.
 package main
 
 import (
@@ -29,6 +33,9 @@ import (
 	"syscall"
 
 	"tvarak"
+	"tvarak/internal/fault"
+	"tvarak/internal/fleet"
+	"tvarak/internal/harness"
 	"tvarak/internal/live"
 	"tvarak/internal/param"
 )
@@ -47,6 +54,7 @@ func main() {
 	resume := flag.Bool("resume", false, "reopen -journal and restore already-finished units instead of re-simulating them (the report is byte-identical to an uninterrupted run)")
 	profile := live.RegisterProfileFlags(flag.CommandLine)
 	opsCfg := live.RegisterOpsFlags(flag.CommandLine)
+	fleetFlags := fleet.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	stopProfile, err := profile.Start()
@@ -58,20 +66,48 @@ func main() {
 	if opsCfg.Enabled() {
 		lt = tvarak.NewLiveTelemetry()
 	}
-	ops, err := opsCfg.Start("tvarak-fault", lt)
-	if err != nil {
-		fatal(err)
-	}
-
+	var opt tvarak.FaultCampaignOptions
+	var serve func(tvarak.FaultCampaignOptions) (*tvarak.FaultCampaignReport, error)
 	if *campaign {
-		opt := tvarak.FaultCampaignOptions{Seed: *seed, N: *n, Workers: *workers, Shrink: *shrink}
+		opt = tvarak.FaultCampaignOptions{Seed: *seed, N: *n, Workers: *workers, Shrink: *shrink}
 		if opt.Designs, err = param.ParseDesigns(*designs); err != nil {
 			fatal(err)
 		}
 		if opt.Async, err = asyncFlags.Config(); err != nil {
 			fatal(err)
 		}
-		err = runCampaign(opt, *report, *journalPath, *resume, lt)
+		if fleetFlags.Serve {
+			spec := fleet.JobSpec{Kind: "campaign", Seed: *seed, N: *n}.With(opt.Designs, *asyncFlags)
+			plan, err := fleet.BuildPlan(spec)
+			if err != nil {
+				fatal(err)
+			}
+			gw, err := fleetFlags.Gateway(spec, plan, opsCfg, lt)
+			if err != nil {
+				fatal(err)
+			}
+			// The campaign runs through the runner a local one uses and
+			// merges the same way.
+			serve = func(opt tvarak.FaultCampaignOptions) (*tvarak.FaultCampaignReport, error) {
+				payloads, man, err := fleetFlags.Run(gw, harness.Runner{Context: opt.Context, Journal: opt.Journal, Live: opt.Live})
+				if man.Cancelled {
+					return nil, errors.Join(err, context.Cause(opt.Context))
+				}
+				rep, merr := plan.(*fault.CampaignPlan).MergeReport(payloads)
+				if rep != nil {
+					rep.Resumed = man.FromJournal
+				}
+				return rep, errors.Join(err, merr)
+			}
+		}
+	}
+	ops, err := opsCfg.Start("tvarak-fault", lt)
+	if err != nil {
+		fatal(err)
+	}
+
+	if *campaign {
+		err = runCampaign(opt, *report, *journalPath, *resume, lt, serve)
 	} else {
 		err = run(*traceOut)
 	}
@@ -96,7 +132,10 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func runCampaign(opt tvarak.FaultCampaignOptions, report, journalPath string, resume bool, lt *tvarak.LiveTelemetry) error {
+// runCampaign runs the campaign locally, or through serve when it is
+// served on the fleet, and writes its report.
+func runCampaign(opt tvarak.FaultCampaignOptions, report, journalPath string, resume bool, lt *tvarak.LiveTelemetry,
+	serve func(tvarak.FaultCampaignOptions) (*tvarak.FaultCampaignReport, error)) error {
 	// SIGINT/SIGTERM cancel the campaign cooperatively: finished units are
 	// kept (and journaled when -journal is set), the partial report is
 	// still written, and Run returns an interruption error.
@@ -108,9 +147,8 @@ func runCampaign(opt tvarak.FaultCampaignOptions, report, journalPath string, re
 		return fmt.Errorf("-resume requires -journal")
 	}
 	if journalPath != "" {
-		// Scope the journal to the campaign's shape — the same string the
-		// fleet's CampaignPlan uses, so a gateway journal and a local one
-		// are interchangeable — and reject -resume across skewed options.
+		// Scope the journal to the campaign's shape, served on the fleet or
+		// not, and reject -resume across skewed options.
 		scope := opt.Scope()
 		var err error
 		if resume {
@@ -140,7 +178,10 @@ func runCampaign(opt tvarak.FaultCampaignOptions, report, journalPath string, re
 		fmt.Printf("  [%2d/%d] %-16s fired=%-3d detected=%-3d recovered=%-3d silent=%-3d %s\n",
 			done, total, u.Label(), u.Fired, u.Detections, u.Recoveries, u.SilentCorruptions, status)
 	}
-	rep, runErr := tvarak.RunFaultCampaign(opt)
+	if serve == nil {
+		serve = tvarak.RunFaultCampaign
+	}
+	rep, runErr := serve(opt)
 	if rep != nil {
 		if report != "" {
 			var w io.Writer = os.Stdout

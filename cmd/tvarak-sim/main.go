@@ -14,6 +14,7 @@
 //	tvarak-sim -exp fig8-stream -metrics-out run.json -sample-every 100000
 //	tvarak-sim -exp fig8-stream -trace trace.jsonl -parallel 1
 //	tvarak-sim -exp all -ops-addr :8080 -ops-ledger ops.jsonl   # curl /metrics /runs /debug/pprof
+//	tvarak-sim -exp fig8-stream -fleet -ops-addr :7609          # tvarak-worker -gateway http://host:7609
 //	tvarak-sim -compare old.json,new.json -tolerance 0.01
 //	tvarak-sim -validate run.json
 //	tvarak-sim -exp table1
@@ -31,11 +32,16 @@
 // finished output is byte-identical to an uninterrupted run; -keep-going
 // and -cell-timeout contain failing or hung cells instead of aborting the
 // whole run (see DESIGN.md §7).
+//
+// With -fleet the one experiment named by -exp is not simulated here but
+// served to tvarak-worker processes from /v1/ on the ops server (see
+// DESIGN.md §12). The run goes through the same journaled runner, so the
+// table, the export and the journal are those of a local run, and either
+// run's journal resumes the other.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,6 +53,8 @@ import (
 
 	"tvarak"
 	"tvarak/internal/experiments"
+	"tvarak/internal/fleet"
+	"tvarak/internal/harness"
 	"tvarak/internal/live"
 	"tvarak/internal/obs"
 	"tvarak/internal/param"
@@ -61,11 +69,10 @@ func main() {
 		designs = flag.String("designs", "", "comma-separated subset of designs (baseline,tvarak,txb-object,txb-page,vilamb)")
 
 		asyncFlags = param.RegisterAsyncFlags(flag.CommandLine)
-		jsonOut    = flag.Bool("json", false, "emit one JSON object per run instead of tables")
 		parallel   = flag.Int("parallel", runtime.NumCPU(), "max simulation cells running concurrently (1 = sequential; tables are identical at any level)")
 		progress   = flag.Bool("progress", false, "print per-cell completion, timing and live counters to stderr as cells finish")
 
-		metricsOut  = flag.String("metrics-out", "", "write the versioned machine-readable export to this path (CSV when it ends in .csv, JSON otherwise)")
+		metricsOut  = flag.String("metrics-out", "", "write the versioned machine-readable export to this path (CSV when it ends in .csv, JSON otherwise; - for JSON on stdout)")
 		traceOut    = flag.String("trace", "", "write a JSONL event trace of every cell's measured run to this path (use -parallel 1 for a deterministic event order)")
 		sampleEvery = flag.Uint64("sample-every", 0, "epoch length in cycles for per-run time series in the export (0 = aggregates only)")
 		profile     = live.RegisterProfileFlags(flag.CommandLine)
@@ -73,7 +80,8 @@ func main() {
 		tolerance   = flag.Float64("tolerance", 0, "relative per-metric tolerance for -compare (0 = exact)")
 		validate    = flag.String("validate", "", "read a metrics export, validate its schema version, and print a summary")
 
-		opsCfg = live.RegisterOpsFlags(flag.CommandLine)
+		opsCfg     = live.RegisterOpsFlags(flag.CommandLine)
+		fleetFlags = fleet.RegisterFlags(flag.CommandLine)
 
 		journalPath = flag.String("journal", "", "checkpoint each completed cell durably to this JSONL journal; an interrupted run resumes from it with -resume")
 		resume      = flag.Bool("resume", false, "reopen -journal and restore already-checkpointed cells instead of re-simulating them (output is byte-identical to an uninterrupted run)")
@@ -140,6 +148,31 @@ func main() {
 	if opsCfg.Enabled() || *progress {
 		lt = tvarak.NewLiveTelemetry()
 		opts.Live = lt
+	}
+	var serve func(experiments.Options) (*harness.Table, error)
+	if fleetFlags.Serve {
+		if *exp == "all" || strings.Contains(*exp, ",") {
+			usage(fmt.Errorf("-fleet serves one experiment id, not %q", *exp))
+		}
+		spec := fleet.JobSpec{Kind: "sweep", Experiment: *exp, Scale: *scale, FullScale: *full,
+			SampleEvery: *sampleEvery}.With(designList, *asyncFlags)
+		plan, err := fleet.BuildPlan(spec)
+		if err != nil {
+			fatal(err)
+		}
+		gw, err := fleetFlags.Gateway(spec, plan, opsCfg, lt)
+		if err != nil {
+			usage(err)
+		}
+		// The sweep runs through the runner a local run uses and merges
+		// the same way.
+		serve = func(o experiments.Options) (*harness.Table, error) {
+			payloads, man, err := fleetFlags.Run(gw, harness.Runner{Context: o.Context, Journal: o.Journal, Degrade: o.Degrade, Live: o.Live})
+			if err != nil {
+				return nil, err
+			}
+			return plan.(*harness.SweepPlan).MergeTable(payloads, man)
+		}
 	}
 	ops, err := opsCfg.Start("tvarak-sim", lt)
 	if err != nil {
@@ -229,41 +262,22 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		run := e.Run
+		if serve != nil {
+			run = serve
+		}
 		start := time.Now()
-		tab, err := e.Run(opts)
+		tab, err := run(opts)
 		if err != nil {
 			fatal(err)
 		}
 		export.Runs = append(export.Runs, tab.ExportRuns(e.ID)...)
 		figs := experiments.AsyncFigures(tab)
 		export.Figures = append(export.Figures, figs...)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			for _, r := range tab.Results {
-				if r.Failed() {
-					continue
-				}
-				row := map[string]any{
-					"experiment": e.ID,
-					"workload":   r.Workload,
-					"design":     r.Design.String(),
-					"variant":    r.Variant,
-					"cycles":     r.Stats.Cycles,
-					"energyPJ":   r.Stats.EnergyPJ,
-					"overhead":   tab.Overhead(r),
-					"nvm":        r.Stats.NVM,
-					"cacheTotal": r.Stats.CacheTotal(),
-				}
-				if err := enc.Encode(row); err != nil {
-					fatal(err)
-				}
-			}
-		} else {
-			fmt.Printf("# %s (%s) — simulated in %v\n", e.ID, e.Paper, time.Since(start).Round(time.Millisecond))
-			fmt.Println(tab)
-			for _, f := range figs {
-				fmt.Println(f)
-			}
+		fmt.Printf("# %s (%s) — simulated in %v\n", e.ID, e.Paper, time.Since(start).Round(time.Millisecond))
+		fmt.Println(tab)
+		for _, f := range figs {
+			fmt.Println(f)
 		}
 		if m := tab.Manifest; m != nil && !m.Clean() {
 			fmt.Fprintf(os.Stderr, "tvarak-sim: %s %s\n", e.ID, m)
@@ -328,8 +342,12 @@ func usage(err error) {
 	os.Exit(2)
 }
 
-// writeExport serializes the export, choosing CSV or JSON by extension.
+// writeExport serializes the export, choosing CSV or JSON by extension;
+// "-" writes JSON to stdout.
 func writeExport(x *obs.Export, path string) error {
+	if path == "-" {
+		return x.WriteJSON(os.Stdout)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

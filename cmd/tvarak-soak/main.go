@@ -126,6 +126,7 @@ func main() {
 		WorkDir:       dir,
 		GateEvery:     *gateEvery,
 		OpsLedgerPath: opsCfg.LedgerPath,
+		Sample:        ops.Sample,
 		LedgerPath:    *ledger,
 		Live:          lt,
 		Context:       ctx,

@@ -1,4 +1,5 @@
-// Command tvarak-worker executes units for a tvarak-gateway: it fetches
+// Command tvarak-worker executes units for a fleet gateway (tvarak-sim
+// -exp <id> -fleet, tvarak-fault -campaign -fleet): it fetches
 // the job spec, re-derives the unit enumeration locally (any skew against
 // the gateway's build surfaces as a handshake or fingerprint error), then
 // leases units, runs them through the same harness.Runner /

@@ -138,23 +138,16 @@ func (o Options) Scope(id string) string {
 	return s
 }
 
-// run executes the cells as a sweep plan on the options' runner and
-// merges the table.
-func (o Options) run(id, title string, cells []harness.Cell) (*harness.Table, error) {
-	for i := range cells {
-		cells[i].SampleEvery = o.SampleEvery
-		cells[i].Tracer = o.Tracer
-	}
-	p := harness.NewSweepPlan(o.Scope(id), cells)
-	p.Title = title
-	return p.Run(harness.Runner{
+// runner is the harness.Runner the options describe.
+func (o Options) runner() harness.Runner {
+	return harness.Runner{
 		Workers:     o.Parallel,
 		Context:     o.Context,
 		Journal:     o.Journal,
 		CellTimeout: o.CellTimeout,
 		Degrade:     o.Degrade,
 		Live:        o.Live,
-	})
+	}
 }
 
 // Experiment regenerates one table or figure of the paper.
@@ -175,8 +168,21 @@ func (e Experiment) Cells(o Options) []harness.Cell {
 	return nil
 }
 
-// cellBuilders maps experiment ids to their cell enumerators. runFromCells
-// wires each entry into the registry's Run functions.
+// Plan enumerates the experiment's cells as a sweep plan under the
+// options' scope and the experiment's title. A local run and a fleet job
+// both execute this plan, so their tables are byte-identical.
+func (e Experiment) Plan(o Options) *harness.SweepPlan {
+	cells := e.Cells(o)
+	for i := range cells {
+		cells[i].SampleEvery = o.SampleEvery
+		cells[i].Tracer = o.Tracer
+	}
+	p := harness.NewSweepPlan(o.Scope(e.ID), cells)
+	p.Title = e.Title
+	return p
+}
+
+// cellBuilders maps experiment ids to their cell enumerators.
 var cellBuilders = map[string]func(Options) []harness.Cell{
 	"fig8-redis":  fig8RedisCells,
 	"fig8-kv":     fig8KVCells,
@@ -198,13 +204,6 @@ var cellBuilders = map[string]func(Options) []harness.Cell{
 	"ext-async-mini": extAsyncMiniCells,
 }
 
-// runFromCells builds an Experiment.Run function over a cell enumerator.
-func runFromCells(title string, id string) func(Options) (*harness.Table, error) {
-	return func(o Options) (*harness.Table, error) {
-		return o.run(id, title, cellBuilders[id](o))
-	}
-}
-
 // Experiments returns the full registry, in paper order.
 func Experiments() []Experiment {
 	exps := []Experiment{
@@ -224,7 +223,8 @@ func Experiments() []Experiment {
 		{ID: "ext-async-mini", Paper: "extension: reduced async-family sweep (golden and CI fleet gate)", Title: "extension: async family sweep (reduced)"},
 	}
 	for i := range exps {
-		exps[i].Run = runFromCells(exps[i].Title, exps[i].ID)
+		e := exps[i]
+		exps[i].Run = func(o Options) (*harness.Table, error) { return e.Plan(o).Run(o.runner()) }
 	}
 	return exps
 }

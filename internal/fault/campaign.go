@@ -112,8 +112,9 @@ func (opt Options) normalized() (apps []string, designs []param.Design, total in
 // Scope identifies the campaign's shape for journal binding and the
 // fleet's gateway/worker handshake: seed, total injections, app list, and
 // — only when non-default, so historical scopes stay byte-identical — the
-// design list and async configuration. A local tvarak-fault journal and a
-// gateway journal use the same string, so they are interchangeable.
+// design list and async configuration. tvarak-fault binds its journal to
+// it whether the campaign runs locally or is served with -fleet, and both
+// checkpoint units under "unit", so either run's journal resumes the other.
 func (opt Options) Scope() string {
 	s := fmt.Sprintf("fault-campaign|seed=%d|n=%d|apps=%s",
 		opt.Seed, opt.N, strings.Join(opt.Apps, ","))

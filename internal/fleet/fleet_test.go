@@ -106,15 +106,36 @@ func fastBackoff() harness.BackoffPolicy {
 	return harness.BackoffPolicy{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.5, Seed: 1}
 }
 
-// mergeSweep merges a drained sweep job's table the way the gateway CLI
-// does.
-func mergeSweep(p *harness.SweepPlan, title string, payloads []json.RawMessage, failures map[int]string, keepGoing bool) (*harness.Table, error) {
-	man, err := FailureManifest(p, payloads, failures, keepGoing)
-	if err != nil {
-		return nil, err
-	}
-	p.Title = title
-	return p.MergeTable(payloads, man)
+// jobResult is what serving a job returns: RunPlan's results, joined
+// with Finish's verdict.
+type jobResult struct {
+	payloads []json.RawMessage
+	man      *harness.Manifest
+	err      error
+}
+
+// startJob serves g in the background the way the CLIs do — RunPlan on rn
+// with one slot per unit, then Finish — and delivers the result once
+// Finish returns.
+func startJob(ctx context.Context, g *Gateway, rn harness.Runner) <-chan jobResult {
+	done := make(chan jobResult, 1)
+	rn.Context = ctx
+	go func() {
+		var r jobResult
+		r.payloads, r.man, r.err = (&Flags{}).Run(g, rn)
+		done <- r
+	}()
+	return done
+}
+
+// serveJob serves g on rn while the workers run, and returns the job's
+// result once every worker has exited, failing the test on any worker
+// error.
+func serveJob(ctx context.Context, t *testing.T, g *Gateway, rn harness.Runner, ws ...*Worker) jobResult {
+	t.Helper()
+	job := startJob(ctx, g, rn)
+	runWorkers(ctx, t, ws...)
+	return <-job
 }
 
 // runWorkers runs the workers until each returns, failing the test on any
@@ -129,6 +150,20 @@ func runWorkers(ctx context.Context, t *testing.T, ws ...*Worker) {
 	for range ws {
 		if err := <-errs; err != nil {
 			t.Errorf("worker failed: %v", err)
+		}
+	}
+}
+
+// checkToyPayloads asserts the job completed with every toy unit's
+// canonical bytes.
+func checkToyPayloads(t *testing.T, r jobResult) {
+	t.Helper()
+	if r.err != nil || !r.man.Clean() {
+		t.Fatalf("job err=%v manifest=%v", r.err, r.man)
+	}
+	for i, p := range r.payloads {
+		if string(p) != string(toyPayload(i)) {
+			t.Errorf("unit %d payload = %s, want %s", i, p, toyPayload(i))
 		}
 	}
 }
@@ -170,16 +205,12 @@ func TestFleetSweepByteIdenticalToLocalUnderFaults(t *testing.T) {
 			Backoff: fastBackoff(),
 		}
 	}
-	runWorkers(ctx, t, workers...)
-
-	payloads, failures, err := g.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
+	r := serveJob(ctx, t, g, harness.Runner{}, workers...)
+	if r.err != nil || !r.man.Clean() {
+		t.Fatalf("job err=%v manifest=%v", r.err, r.man)
 	}
-	if len(failures) != 0 {
-		t.Fatalf("unexpected failures: %v", failures)
-	}
-	tab, err := mergeSweep(plan, "fleet sweep", payloads, failures, false)
+	plan.Title = "fleet sweep"
+	tab, err := plan.MergeTable(r.payloads, r.man)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,20 +291,7 @@ func TestFleetTransportFaultScenarios(t *testing.T) {
 					Backoff: fastBackoff(),
 				}
 			}
-			runWorkers(ctx, t, workers...)
-
-			payloads, failures, err := g.Wait(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(failures) != 0 {
-				t.Fatalf("unexpected failures: %v", failures)
-			}
-			for i, p := range payloads {
-				if string(p) != string(toyPayload(i)) {
-					t.Errorf("unit %d payload = %s, want %s", i, p, toyPayload(i))
-				}
-			}
+			checkToyPayloads(t, serveJob(ctx, t, g, harness.Runner{}, workers...))
 			s := g.Status(false)
 			if dropped, _, _ := ft.Stats(); tc.wantDropped > 0 && dropped != tc.wantDropped {
 				t.Errorf("dropped = %d, want %d", dropped, tc.wantDropped)
@@ -304,50 +322,42 @@ func TestFleetAbandonedLeaseIsRedelivered(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serveGateway(t, g)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	job := startJob(ctx, g, harness.Runner{})
 
-	// The ghost takes unit 0's lease and is never heard from again.
-	body, _ := json.Marshal(LeaseRequest{Worker: "ghost"})
-	resp, err := http.Post(srv.URL+"/v1/lease", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The ghost takes unit 0's lease, once the runner has opened it, and is
+	// never heard from again.
 	var ghost LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ghost); err != nil {
-		t.Fatal(err)
+	for ghost.Status != StatusGrant && ctx.Err() == nil {
+		body, _ := json.Marshal(LeaseRequest{Worker: "ghost"})
+		resp, err := http.Post(srv.URL+"/v1/lease", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&ghost); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 	}
-	resp.Body.Close()
 	if ghost.Status != StatusGrant || ghost.Index != 0 {
 		t.Fatalf("ghost lease = %+v, want grant of unit 0", ghost)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	w := &Worker{
 		Gateway: srv.URL, Name: "real",
 		Build:   func(JobSpec) (harness.Plan, error) { return &toyPlan{scope: "toy-abandon", n: n}, nil },
 		Backoff: fastBackoff(),
 	}
 	runWorkers(ctx, t, w)
-
-	payloads, failures, err := g.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failures) != 0 {
-		t.Fatalf("unexpected failures: %v", failures)
-	}
-	for i, p := range payloads {
-		if string(p) != string(toyPayload(i)) {
-			t.Errorf("unit %d payload = %s, want %s", i, p, toyPayload(i))
-		}
-	}
+	checkToyPayloads(t, <-job)
 	if s := g.Status(false); s.Expired < 1 || s.Redelivered < 1 {
 		t.Errorf("status = %+v, want at least one expiry and redelivery", s)
 	}
 }
 
 // TestFleetGatewayResumesFromJournal kills a gateway mid-job (simulated:
-// its first incarnation resolves with half the units failed and is
+// its first incarnation completes with half the units failed and is
 // discarded) and resumes from its journal: restored units are not re-run,
 // and the completed job's payloads are byte-identical to a clean run's.
 func TestFleetGatewayResumesFromJournal(t *testing.T) {
@@ -359,7 +369,7 @@ func TestFleetGatewayResumesFromJournal(t *testing.T) {
 	defer cancel()
 
 	// Phase 1: units 3..5 fail at the worker; MaxDeliveries 1 exhausts
-	// them immediately, so the job resolves with only 0..2 journaled.
+	// them immediately, so the job completes with only 0..2 journaled.
 	j1, err := harness.NewJournalScope(path, scope)
 	if err != nil {
 		t.Fatal(err)
@@ -369,8 +379,6 @@ func TestFleetGatewayResumesFromJournal(t *testing.T) {
 		Spec:          spec,
 		LeaseTTL:      time.Second,
 		MaxDeliveries: 1,
-		KeepGoing:     true,
-		Journal:       j1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,31 +396,23 @@ func TestFleetGatewayResumesFromJournal(t *testing.T) {
 		},
 		Backoff: fastBackoff(),
 	}
-	runWorkers(ctx, t, w1)
-	_, failures, err := g1.Wait(ctx)
-	if err != nil || len(failures) != 3 {
-		t.Fatalf("phase 1: err=%v failures=%v, want nil error and 3 failures", err, failures)
+	r1 := serveJob(ctx, t, g1, harness.Runner{Journal: j1, Degrade: true}, w1)
+	if r1.err != nil || len(r1.man.Failures) != 3 {
+		t.Fatalf("phase 1: err=%v manifest=%v, want nil error and 3 failures", r1.err, r1.man)
 	}
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Phase 2: resume. Restored units must be pre-completed and never
-	// re-dispatched; only 3..5 run.
+	// Phase 2: resume. Restored units must never be leased; only 3..5 run.
 	j2, err := harness.OpenJournalScope(path, scope)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := NewGateway(GatewayConfig{
-		Plan:    &toyPlan{scope: scope, n: n},
-		Spec:    spec,
-		Journal: j2,
-	})
+	defer j2.Close()
+	g2, err := NewGateway(GatewayConfig{Plan: &toyPlan{scope: scope, n: n}, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s := g2.Status(false); s.Done != 3 {
-		t.Fatalf("resumed gateway restored %d units, want 3", s.Done)
 	}
 	srv2 := serveGateway(t, g2)
 	var mu sync.Mutex
@@ -429,33 +429,18 @@ func TestFleetGatewayResumesFromJournal(t *testing.T) {
 		},
 		Backoff: fastBackoff(),
 	}
-	runWorkers(ctx, t, w2)
-	payloads, failures, err := g2.Wait(ctx)
-	if err != nil || len(failures) != 0 {
-		t.Fatalf("phase 2: err=%v failures=%v", err, failures)
+	r2 := serveJob(ctx, t, g2, harness.Runner{Journal: j2}, w2)
+	checkToyPayloads(t, r2)
+	if r2.man.FromJournal != 3 {
+		t.Errorf("resumed job restored %d units, want 3", r2.man.FromJournal)
 	}
-	for i, p := range payloads {
-		if string(p) != string(toyPayload(i)) {
-			t.Errorf("unit %d payload = %s, want %s", i, p, toyPayload(i))
-		}
+	if s := g2.Status(false); s.Granted != 3 || s.Done != n {
+		t.Errorf("resumed gateway status = %+v, want 3 leases granted and %d units done", s, n)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(ran) != 3 || !ran[3] || !ran[4] || !ran[5] {
 		t.Errorf("phase 2 ran units %v, want exactly 3,4,5 (restored units must not re-run)", ran)
-	}
-
-	// A journal holds exactly one job: resuming it under a different spec
-	// must fail loudly instead of merging unrelated results.
-	j3, err := harness.OpenJournalScope(path, scope)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	other := spec
-	other.Experiment = "something-else"
-	if _, err := NewGateway(GatewayConfig{Plan: &toyPlan{scope: scope, n: n}, Spec: other, Journal: j3}); err == nil || !strings.Contains(err.Error(), "fresh journal") {
-		t.Errorf("NewGateway with a different spec = %v, want fresh-journal error", err)
 	}
 }
 
@@ -469,39 +454,38 @@ func TestFleetKeepGoingRendersFailedRows(t *testing.T) {
 		cells[2].Make = func() harness.Workload { return &failingFleetWorkload{name: "fleet02"} }
 		return cells
 	}
-	plan := harness.NewSweepPlan(fleetScope, makeCells())
-	g, err := NewGateway(GatewayConfig{
-		Plan:          plan,
-		Spec:          JobSpec{Kind: "toy"},
-		LeaseTTL:      2 * time.Second,
-		MaxDeliveries: 1,
-		KeepGoing:     true,
-		Backoff:       harness.BackoffPolicy{Base: time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
+	serve := func(degrade bool) (*harness.SweepPlan, jobResult) {
+		plan := harness.NewSweepPlan(fleetScope, makeCells())
+		g, err := NewGateway(GatewayConfig{
+			Plan:          plan,
+			Spec:          JobSpec{Kind: "toy"},
+			LeaseTTL:      2 * time.Second,
+			MaxDeliveries: 1,
+			Backoff:       harness.BackoffPolicy{Base: time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := serveGateway(t, g)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		w := &Worker{
+			Gateway: srv.URL, Name: "w0",
+			Build:   func(JobSpec) (harness.Plan, error) { return harness.NewSweepPlan(fleetScope, makeCells()), nil },
+			Backoff: fastBackoff(),
+		}
+		return plan, serveJob(ctx, t, g, harness.Runner{Degrade: degrade}, w)
 	}
-	srv := serveGateway(t, g)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	w := &Worker{
-		Gateway: srv.URL, Name: "w0",
-		Build:   func(JobSpec) (harness.Plan, error) { return harness.NewSweepPlan(fleetScope, makeCells()), nil },
-		Backoff: fastBackoff(),
-	}
-	runWorkers(ctx, t, w)
 
-	payloads, failures, err := g.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
+	plan, r := serve(true)
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if len(failures) != 1 || failures[2] == "" {
-		t.Fatalf("failures = %v, want exactly unit 2", failures)
+	if f := r.man.Failures; len(f) != 1 || f[0].Index != 2 || !strings.Contains(f[0].Err, "injected failure") {
+		t.Fatalf("failures = %+v, want exactly unit 2 carrying the worker's error", f)
 	}
-	if !strings.Contains(failures[2], "injected failure") {
-		t.Errorf("failure %q does not carry the worker's error", failures[2])
-	}
-	tab, err := mergeSweep(plan, "degraded", payloads, failures, true)
+	plan.Title = "degraded"
+	tab, err := plan.MergeTable(r.payloads, r.man)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,8 +495,8 @@ func TestFleetKeepGoingRendersFailedRows(t *testing.T) {
 	if tab.Manifest == nil || len(tab.Manifest.Failures) != 1 || tab.Manifest.Completed != n-1 {
 		t.Errorf("manifest = %+v, want 1 failure, %d completed", tab.Manifest, n-1)
 	}
-	if _, err := mergeSweep(plan, "strict", payloads, failures, false); err == nil {
-		t.Error("strict merge of a degraded job did not fail")
+	if _, r := serve(false); r.err == nil {
+		t.Error("strict job with a failing unit did not fail")
 	}
 }
 
@@ -529,6 +513,9 @@ func TestFleetHandshakeRejectsSkew(t *testing.T) {
 	srv := serveGateway(t, g)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	jobCtx, stopJob := context.WithCancel(ctx)
+	job := startJob(jobCtx, g, harness.Runner{})
+	defer func() { stopJob(); <-job }()
 
 	scopeSkew := &Worker{
 		Gateway: srv.URL, Name: "skewed-scope",
@@ -597,13 +584,11 @@ func TestFleetCampaignMergeByteIdenticalToLocal(t *testing.T) {
 			Backoff: fastBackoff(),
 		}
 	}
-	runWorkers(ctx, t, workers...)
-
-	payloads, failures, err := g.Wait(ctx)
-	if err != nil || len(failures) != 0 {
-		t.Fatalf("err=%v failures=%v", err, failures)
+	r := serveJob(ctx, t, g, harness.Runner{}, workers...)
+	if r.err != nil || !r.man.Clean() {
+		t.Fatalf("job err=%v manifest=%v", r.err, r.man)
 	}
-	fleetRep, err := plan.MergeReport(payloads)
+	fleetRep, err := plan.MergeReport(r.payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,24 +627,14 @@ func TestFleetRidesOutPartition(t *testing.T) {
 		Backoff:        harness.BackoffPolicy{Base: 20 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.5, Seed: 1},
 		RequestRetries: 30,
 	}
-	runWorkers(ctx, t, w)
-
-	payloads, failures, err := g.Wait(ctx)
-	if err != nil || len(failures) != 0 {
-		t.Fatalf("err=%v failures=%v", err, failures)
-	}
-	for i, p := range payloads {
-		if string(p) != string(toyPayload(i)) {
-			t.Errorf("unit %d payload = %s, want %s", i, p, toyPayload(i))
-		}
-	}
+	checkToyPayloads(t, serveJob(ctx, t, g, harness.Runner{}, w))
 	if dropped, _, _ := ft.Stats(); dropped == 0 {
 		t.Error("partition never dropped a request — the fault path was not exercised")
 	}
 }
 
 // TestFleetGatewayDrainHoldsForLaggardWorkers: once the job resolves, the
-// gateway's Drain keeps the control plane answering until workers asleep
+// gateway's Finish keeps the control plane answering until workers asleep
 // in an acquire backoff poll once more and are told StatusDone — so a
 // worker whose sibling finished the last unit exits clean instead of
 // finding a dead socket and reporting "gateway unreachable".
@@ -700,34 +675,31 @@ func TestFleetGatewayDrainHoldsForLaggardWorkers(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	job := startJob(ctx, g, harness.Runner{})
 	runWorkers(ctx, t, &Worker{
 		Gateway: srv.URL, Name: "fast",
 		Build:   func(JobSpec) (harness.Plan, error) { return &toyPlan{scope: scope, n: 1}, nil },
 		Backoff: fastBackoff(),
 	})
-	if _, _, err := g.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
 
-	drained := make(chan struct{})
-	go func() { g.Drain(ctx); close(drained) }()
 	select {
-	case <-drained:
-		t.Fatal("Drain returned before the laggard polled")
+	case r := <-job:
+		t.Fatalf("Finish returned before the laggard polled: %v", r.err)
 	case <-time.After(60 * time.Millisecond):
 	}
 
 	// The laggard wakes up: its poll must be answered with done, and that
-	// contact is what lets Drain return — well before the TTL+1s cap.
+	// contact is what lets Finish return — well before the TTL+1s cap.
 	var lease LeaseResponse
 	postJSON("/v1/lease", LeaseRequest{Worker: "laggard"}, &lease)
 	if lease.Status != StatusDone {
 		t.Fatalf("laggard's wake-up poll = %+v, want done", lease)
 	}
 	select {
-	case <-drained:
+	case r := <-job:
+		checkToyPayloads(t, r)
 	case <-time.After(ttl):
-		t.Fatal("Drain did not return after the laggard was told the job is done")
+		t.Fatal("Finish did not return after the laggard was told the job is done")
 	}
 }
 
@@ -818,9 +790,8 @@ func TestWorkerBoardCoversEveryLease(t *testing.T) {
 				Live:    lt,
 			}
 		}
-		runWorkers(ctx, t, workers...)
-		if _, _, err := g.Wait(ctx); err != nil {
-			t.Fatal(err)
+		if r := serveJob(ctx, t, g, harness.Runner{}, workers...); r.err != nil {
+			t.Fatal(r.err)
 		}
 
 		snap := lt.Board.Snapshot()
@@ -840,5 +811,87 @@ func TestWorkerBoardCoversEveryLease(t *testing.T) {
 	if lt.Fault.Armed.Value() == 0 || lt.Fault.Detected.Value() == 0 {
 		t.Errorf("fault counters armed=%d detected=%d, want both non-zero after a campaign",
 			lt.Fault.Armed.Value(), lt.Fault.Detected.Value())
+	}
+}
+
+// TestJournalsInterchangeWithLocalRuns: a fleet job and a local run of the
+// same plan write one journal format. A fleet run's journal resumed by a
+// local Runner restores every unit and simulates none; a local run's
+// journal served under a gateway restores every unit and grants no lease.
+func TestJournalsInterchangeWithLocalRuns(t *testing.T) {
+	camp := fault.Options{Seed: 7, N: 4, Apps: []string{"stream", "fio"}}
+	jobs := []struct {
+		name  string
+		build func() harness.Plan
+	}{
+		{"sweep", func() harness.Plan { return harness.NewSweepPlan(fleetScope, fleetCells(4)) }},
+		{"campaign", func() harness.Plan { p, _ := fault.NewCampaignPlan(camp); return p }},
+	}
+	for _, job := range jobs {
+		t.Run(job.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			scope := job.build().Scope()
+			dir := t.TempDir()
+			newGateway := func() *Gateway {
+				g, err := NewGateway(GatewayConfig{Plan: job.build(), Spec: JobSpec{Kind: "toy"}, LeaseTTL: 5 * time.Second})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			journal := func(name string, resume bool) *harness.Journal {
+				open := harness.NewJournalScope
+				if resume {
+					open = harness.OpenJournalScope
+				}
+				j, err := open(filepath.Join(dir, name), scope)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { j.Close() })
+				return j
+			}
+
+			// The reference: a clean local run, journaled.
+			want, man, err := harness.Runner{Journal: journal("local", false)}.RunPlan(job.build())
+			if err != nil || !man.Clean() {
+				t.Fatalf("local run: err=%v manifest=%v", err, man)
+			}
+			same := func(what string, got []json.RawMessage) {
+				t.Helper()
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Errorf("%s: unit %d payload differs from the local run's", what, i)
+					}
+				}
+			}
+
+			// Fleet -> local.
+			g := newGateway()
+			srv := serveGateway(t, g)
+			w := &Worker{Gateway: srv.URL, Name: "w0", Build: func(JobSpec) (harness.Plan, error) { return job.build(), nil }, Backoff: fastBackoff()}
+			if r := serveJob(ctx, t, g, harness.Runner{Journal: journal("fleet", false)}, w); r.err != nil || !r.man.Clean() {
+				t.Fatalf("fleet run: err=%v manifest=%v", r.err, r.man)
+			}
+			lt := live.NewTelemetry()
+			got, man, err := harness.Runner{Journal: journal("fleet", true), Live: lt}.RunPlan(job.build())
+			if err != nil || man.FromJournal != len(want) || lt.Runner.Started.Value() != 0 {
+				t.Errorf("fleet journal resumed locally: err=%v restored %d of %d, simulated %d",
+					err, man.FromJournal, len(want), lt.Runner.Started.Value())
+			}
+			same("fleet -> local", got)
+
+			// Local -> fleet: no worker is needed, and no lease is granted.
+			g = newGateway()
+			r := serveJob(ctx, t, g, harness.Runner{Journal: journal("local", true)})
+			if r.err != nil || r.man.FromJournal != len(want) {
+				t.Errorf("local journal served: err=%v restored %d of %d", r.err, r.man.FromJournal, len(want))
+			}
+			if s := g.Status(false); s.Granted != 0 || s.Done != len(want) {
+				t.Errorf("local journal served: status %+v, want 0 leases granted and every unit done", s)
+			}
+			same("local -> fleet", r.payloads)
+		})
 	}
 }

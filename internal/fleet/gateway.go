@@ -32,27 +32,23 @@ type GatewayConfig struct {
 	// becomes eligible for redelivery. The zero value redelivers
 	// immediately; the CLI defaults to seeded-jitter exponential.
 	Backoff harness.BackoffPolicy
-	// KeepGoing completes the job past terminally-failed units, rendering
-	// them as explicit FAILED rows with a manifest, instead of failing
-	// the whole job at the first exhausted unit.
-	KeepGoing bool
-	// Journal, when non-nil, checkpoints every accepted result durably
-	// under the unit's fingerprint, so a killed gateway resumes by
-	// reopening the journal (NewGateway restores done units from it). It
-	// should be opened under the plan's scope (OpenJournalScope).
-	Journal *harness.Journal
-	// Live, when non-nil, receives fleet control-plane metrics
-	// (tvarak_fleet_* on /metrics).
+	// Live receives fleet control-plane metrics (tvarak_fleet_* on
+	// /metrics); nil counts into a private bundle.
 	Live *live.Telemetry
 	// Now is the clock (nil = time.Now); tests inject one to drive lease
 	// expiry and redelivery backoff deterministically.
 	Now func() time.Time
 }
 
-// Gateway owns a job: it serves the control plane, tracks leases,
-// accepts/dedups results, journals its own dispatch state, and merges the
-// outcome in enumeration order. Create with NewGateway, mount Handler on
-// an HTTP server, then Wait for resolution.
+// Gateway serves a job to workers and executes it as a harness.Plan: it
+// delegates the enumeration to the wrapped plan, and its RunUnit hands
+// unit i to whichever worker leases it, returning the accepted result.
+// Run it on a harness.Runner with one slot per unit, so every unit is open
+// for leasing at once; journal restore, checkpointing, failure manifests,
+// cancellation and the /runs board all come from the Runner, exactly as
+// for a local run, and the caller merges the payloads the way a local run
+// does. Mount Handler on an HTTP server, and call Finish once RunPlan
+// returns.
 type Gateway struct {
 	cfg   GatewayConfig
 	plan  harness.Plan
@@ -62,17 +58,9 @@ type Gateway struct {
 	mu       sync.Mutex
 	workers  map[string]time.Time // last contact per joined worker
 	informed map[string]bool      // workers whose acquire was answered "done"
-	joinErr  []string             // rejected handshakes, for diagnostics
-	seen     fleetCounts          // table counters already folded into metrics
-
-	resolved chan struct{} // closed once every unit is terminal
-	resOnce  sync.Once
 }
 
-// NewGateway validates the config, restores any journaled results, and
-// returns a gateway ready to serve. With a resume journal, units whose
-// results it already holds are pre-completed — workers are only handed
-// the remainder, and the merged output is byte-identical either way.
+// NewGateway validates the config and returns a gateway ready to serve.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Plan == nil {
 		return nil, fmt.Errorf("fleet: GatewayConfig.Plan is required")
@@ -86,40 +74,15 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	if cfg.Live == nil {
+		cfg.Live = live.NewTelemetry()
+	}
 	g := &Gateway{
 		cfg:      cfg,
 		plan:     cfg.Plan,
-		table:    newLeaseTable(cfg.Plan, cfg.LeaseTTL, cfg.MaxDeliveries, cfg.Backoff, cfg.Now),
+		table:    newLeaseTable(cfg.Plan, cfg.LeaseTTL, cfg.MaxDeliveries, cfg.Backoff, cfg.Now, &cfg.Live.Fleet),
 		workers:  make(map[string]time.Time),
 		informed: make(map[string]bool),
-		resolved: make(chan struct{}),
-	}
-	if cfg.Journal != nil {
-		// Bind the journal to this job: record the spec under the scope
-		// so a -resume against a different job's journal fails loudly
-		// (the scope check in OpenJournalScope already guards options;
-		// this guards a swapped journal file with the same scope string).
-		var prior JobSpec
-		if cfg.Journal.Lookup(KindJob, g.plan.Scope(), &prior) {
-			want, _ := json.Marshal(cfg.Spec)
-			got, _ := json.Marshal(prior)
-			if string(want) != string(got) {
-				return nil, fmt.Errorf("fleet: journal %s holds job %s, this run is %s — use a fresh journal",
-					cfg.Journal.Path(), got, want)
-			}
-		} else if err := cfg.Journal.Record(KindJob, g.plan.Scope(), cfg.Spec); err != nil {
-			return nil, err
-		}
-		restored := 0
-		for i := 0; i < g.plan.Units(); i++ {
-			if data := cfg.Journal.LookupRaw(KindResult, g.plan.Fingerprint(i)); data != nil {
-				g.table.restore(i, data)
-				restored++
-			}
-		}
-		if g.live() != nil && restored > 0 {
-			g.live().Fleet.ResultsAccepted.Add(uint64(restored))
-		}
 	}
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("/v1/job", g.handleJob)
@@ -131,16 +94,65 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-func (g *Gateway) live() *live.Telemetry { return g.cfg.Live }
+func (g *Gateway) Scope() string            { return g.plan.Scope() }
+func (g *Gateway) Kind() string             { return g.plan.Kind() }
+func (g *Gateway) Units() int               { return g.plan.Units() }
+func (g *Gateway) Fingerprint(i int) string { return g.plan.Fingerprint(i) }
+func (g *Gateway) Label(i int) string       { return g.plan.Label(i) }
+
+// sweepEvery is how often an open unit checks its own lease for expiry.
+const sweepEvery = 10 * time.Millisecond
+
+// RunUnit opens unit i for leasing and blocks until a worker's result for
+// it is accepted (returned as the payload), its redelivery is exhausted
+// (an error), or ctx ends.
+func (g *Gateway) RunUnit(ctx context.Context, i int, _ *live.Telemetry) (json.RawMessage, error) {
+	resolved := g.table.open(i)
+	tick := time.NewTicker(sweepEvery)
+	defer tick.Stop()
+	for {
+		select {
+		case <-resolved:
+			return g.table.result(i)
+		case <-tick.C:
+			g.table.expire(i)
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		}
+	}
+}
+
+// Done delegates to the wrapped plan and settles unit i in the lease
+// table, so a unit the Runner restored from its journal is never leased.
+func (g *Gateway) Done(i int, payload json.RawMessage) (harness.Summary, error) {
+	s, err := g.plan.Done(i, payload)
+	if err == nil {
+		g.table.settle(i, payload)
+	}
+	return s, err
+}
+
+// Finish ends the job once RunPlan has returned: every later acquire
+// answers StatusDone, the control plane keeps answering until live
+// workers have heard so (skipped when ctx was cancelled), and any
+// byte-divergent duplicate result recorded along the way fails the job.
+func (g *Gateway) Finish(ctx context.Context) error {
+	g.table.close()
+	if ctx.Err() == nil {
+		g.drain(ctx)
+	}
+	if div := g.table.violations(); len(div) > 0 {
+		return fmt.Errorf("fleet: determinism violation: %s", strings.Join(div, "; "))
+	}
+	return nil
+}
 
 // Handler is the control-plane HTTP handler (mount at the server root).
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
 // Status snapshots the dispatch state (the same data /v1/status serves).
 func (g *Gateway) Status(withUnits bool) StatusResponse {
-	s := g.table.snapshot(withUnits)
-	g.observeSweep()
-	return s
+	return g.table.snapshot(withUnits)
 }
 
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -159,12 +171,7 @@ func (g *Gateway) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reject := func(msg string) {
-		if g.live() != nil {
-			g.live().Fleet.WorkersRejected.Add(1)
-		}
-		g.mu.Lock()
-		g.joinErr = append(g.joinErr, fmt.Sprintf("%s: %s", req.Worker, msg))
-		g.mu.Unlock()
+		g.cfg.Live.Fleet.WorkersRejected.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusConflict)
 		w.Write(errJSON(msg))
@@ -177,9 +184,7 @@ func (g *Gateway) handleJoin(w http.ResponseWriter, r *http.Request) {
 	case req.Scope != g.plan.Scope():
 		reject(fmt.Sprintf("scope mismatch: worker derived %q from the job spec, gateway has %q — worker binary or options are skewed", req.Scope, g.plan.Scope()))
 	default:
-		if g.live() != nil {
-			g.live().Fleet.WorkersJoined.Add(1)
-		}
+		g.cfg.Live.Fleet.WorkersJoined.Add(1)
 		g.touchWorker(req.Worker)
 		writeJSON(w, http.StatusOK, struct {
 			OK bool `json:"ok"`
@@ -201,11 +206,6 @@ func (g *Gateway) handleLease(w http.ResponseWriter, r *http.Request) {
 		g.informed[req.Worker] = true
 		g.mu.Unlock()
 	}
-	g.observeSweep()
-	if lease.Status == StatusGrant && g.live() != nil {
-		g.live().Fleet.LeasesGranted.Add(1)
-	}
-	g.checkResolved()
 	writeJSON(w, http.StatusOK, lease)
 }
 
@@ -215,10 +215,6 @@ func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ok := g.table.heartbeat(req.LeaseID)
-	g.observeSweep()
-	if ok && g.live() != nil {
-		g.live().Fleet.Heartbeats.Add(1)
-	}
 	writeJSON(w, http.StatusOK, HeartbeatResponse{OK: ok, Gone: !ok})
 }
 
@@ -240,31 +236,11 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 	g.touchWorker(r.Header.Get("X-Fleet-Worker"))
 	switch kind {
 	case KindResult:
-		status, first, known := g.table.complete(fp, data)
+		status, known := g.table.complete(fp, data)
 		if !known {
 			writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown unit fingerprint %q", fp)})
 			return
 		}
-		if first && g.cfg.Journal != nil {
-			if err := g.cfg.Journal.RecordRaw(KindResult, fp, data); err != nil {
-				// A result that cannot be made durable must not be
-				// acknowledged: the worker will retry, or redelivery will
-				// recompute it.
-				writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-				return
-			}
-		}
-		if lv := g.live(); lv != nil {
-			switch status {
-			case ResultAccepted:
-				lv.Fleet.ResultsAccepted.Add(1)
-			case ResultDuplicate:
-				lv.Fleet.ResultsDuplicate.Add(1)
-			case ResultDivergent:
-				lv.Fleet.ResultsDivergent.Add(1)
-			}
-		}
-		g.checkResolved()
 		writeJSON(w, http.StatusOK, ResultResponse{Status: status})
 	case KindFail:
 		var f struct {
@@ -275,8 +251,6 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown unit fingerprint %q", fp)})
 			return
 		}
-		g.observeSweep()
-		g.checkResolved()
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultFailed})
 	default:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unexpected record kind %q", kind)})
@@ -302,90 +276,17 @@ func (g *Gateway) touchWorker(name string) {
 		}
 	}
 	g.mu.Unlock()
-	if g.live() != nil {
-		g.live().Fleet.WorkersLive.SetInt(uint64(liveCount))
-	}
+	g.cfg.Live.Fleet.WorkersLive.SetInt(uint64(liveCount))
 }
 
-// fleetCounts tracks which table counter values have already been folded
-// into the monotonic metrics counters.
-type fleetCounts struct{ expired, redelivered, failed int }
-
-// observeSweep folds the table's counters into the metrics registry.
-// Counters are monotonic, so it adds only the delta since last time.
-func (g *Gateway) observeSweep() {
-	lv := g.live()
-	if lv == nil {
-		return
-	}
-	s := g.table.snapshot(false)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if d := s.Expired - g.seen.expired; d > 0 {
-		lv.Fleet.LeasesExpired.Add(uint64(d))
-	}
-	if d := s.Redelivered - g.seen.redelivered; d > 0 {
-		lv.Fleet.LeasesRedelivered.Add(uint64(d))
-	}
-	if d := s.Failed - g.seen.failed; d > 0 {
-		lv.Fleet.UnitsFailed.Add(uint64(d))
-	}
-	g.seen = fleetCounts{expired: s.Expired, redelivered: s.Redelivered, failed: s.Failed}
-}
-
-// checkResolved closes the resolved channel once every unit is terminal.
-func (g *Gateway) checkResolved() {
-	if g.table.snapshot(false).Resolved {
-		g.resOnce.Do(func() { close(g.resolved) })
-	}
-}
-
-// Wait blocks until every unit resolves (result accepted or redelivery
-// exhausted) or ctx is done, sweeping expired leases in the background so
-// stalls are detected even with no worker traffic. It returns the merged
-// inputs: payloads in enumeration order, terminal failures by index, and
-// any recorded byte-divergences. The error is non-nil when ctx ended
-// first, when a divergence was recorded, or when units failed without
-// KeepGoing.
-func (g *Gateway) Wait(ctx context.Context) ([]json.RawMessage, map[int]string, error) {
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		g.table.sweep()
-		g.observeSweep()
-		g.checkResolved()
-		select {
-		case <-g.resolved:
-			payloads, failures, divergences := g.table.outcome()
-			if len(divergences) > 0 {
-				return payloads, failures, fmt.Errorf("fleet: determinism violation: %s", strings.Join(divergences, "; "))
-			}
-			if len(failures) > 0 && !g.cfg.KeepGoing {
-				msgs := make([]string, 0, len(failures))
-				for i := 0; i < g.plan.Units(); i++ {
-					if m, ok := failures[i]; ok {
-						msgs = append(msgs, m)
-					}
-				}
-				return payloads, failures, fmt.Errorf("fleet: %d unit(s) failed: %s", len(failures), strings.Join(msgs, "; "))
-			}
-			return payloads, failures, nil
-		case <-tick.C:
-		case <-ctx.Done():
-			return nil, nil, context.Cause(ctx)
-		}
-	}
-}
-
-// Drain keeps the control plane answering after resolution until every
-// recently-live worker has contacted it again — an acquire now returns
-// StatusDone, so that contact is the worker learning the job is over. A
-// worker sleeping in an acquire backoff sleeps at most the lease TTL, so
-// the wait is capped at TTL plus a second; workers that died are covered
-// by the cap. Call it between Wait returning and closing the listener,
-// lest laggard workers find a dead socket and report an error for a job
-// that succeeded.
-func (g *Gateway) Drain(ctx context.Context) {
+// drain keeps the control plane answering after the job closed until
+// every recently-live worker has contacted it again — an acquire now
+// returns StatusDone, so that contact is the worker learning the job is
+// over. A worker sleeping in an acquire backoff sleeps at most the lease
+// TTL, so the wait is capped at TTL plus a second; workers that died are
+// covered by the cap. Without it, laggard workers would find a dead socket
+// and report an error for a job that succeeded.
+func (g *Gateway) drain(ctx context.Context) {
 	resolvedAt := g.cfg.Now()
 	deadline := resolvedAt.Add(g.cfg.LeaseTTL + time.Second)
 	tick := time.NewTicker(20 * time.Millisecond)

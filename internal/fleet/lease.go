@@ -3,15 +3,18 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"tvarak/internal/harness"
+	"tvarak/internal/live"
 )
 
 // Unit dispatch states.
 const (
+	stateIdle    = "idle"    // not yet opened for leasing by the Runner
 	statePending = "pending" // never leased, eligible now
 	stateLeased  = "leased"  // held by a worker under an unexpired lease
 	stateDelayed = "delayed" // failed/expired, parked until its backoff elapses
@@ -28,14 +31,16 @@ type unitEntry struct {
 	deadline   time.Time // lease expiry (stateLeased)
 	eligible   time.Time // redelivery backoff end (stateDelayed)
 	payload    json.RawMessage
-	failure    string // terminal failure message (stateFailed)
+	failure    string        // terminal failure message (stateFailed)
+	resolved   chan struct{} // closed on reaching stateDone or stateFailed
 }
 
-// leaseTable is the gateway's dispatch state machine: which unit is
-// pending, leased (to whom, until when), parked in redelivery backoff,
-// done (with which bytes), or terminally failed. Every transition happens
-// under one mutex with an injected clock, so tests drive expiry and
-// backoff deterministically without sleeping.
+// leaseTable is the gateway's dispatch state machine: which unit is idle
+// (not yet opened for leasing), pending, leased (to whom, until when),
+// parked in redelivery backoff, done (with which bytes), or terminally
+// failed. Every transition happens under one mutex with an injected clock,
+// so tests drive expiry and backoff deterministically without sleeping,
+// and is counted into the fleet metrics as it happens.
 type leaseTable struct {
 	mu      sync.Mutex
 	units   []unitEntry
@@ -47,11 +52,13 @@ type leaseTable struct {
 	ttl           time.Duration
 	maxDeliveries int
 	backoff       harness.BackoffPolicy
+	m             *live.FleetMetrics
 
-	nextLease int // lease id sequence
+	nextLease int  // lease id sequence
+	closed    bool // the job is over: acquire answers StatusDone
 
-	// Counters mirrored into StatusResponse (metrics are the gateway's
-	// job — the table just counts).
+	// Counters mirrored into StatusResponse; the metrics count the same
+	// events process-wide.
 	granted     int
 	expired     int
 	redelivered int
@@ -63,7 +70,7 @@ type leaseTable struct {
 	divergences []string
 }
 
-func newLeaseTable(p harness.Plan, ttl time.Duration, maxDeliveries int, backoff harness.BackoffPolicy, now func() time.Time) *leaseTable {
+func newLeaseTable(p harness.Plan, ttl time.Duration, maxDeliveries int, backoff harness.BackoffPolicy, now func() time.Time, m *live.FleetMetrics) *leaseTable {
 	n := p.Units()
 	t := &leaseTable{
 		units:         make([]unitEntry, n),
@@ -74,9 +81,10 @@ func newLeaseTable(p harness.Plan, ttl time.Duration, maxDeliveries int, backoff
 		ttl:           ttl,
 		maxDeliveries: maxDeliveries,
 		backoff:       backoff,
+		m:             m,
 	}
 	for i := 0; i < n; i++ {
-		t.units[i].state = statePending
+		t.units[i] = unitEntry{state: stateIdle, resolved: make(chan struct{})}
 		t.labels[i] = p.Label(i)
 		fp := p.Fingerprint(i)
 		t.fps[i] = fp
@@ -85,30 +93,91 @@ func newLeaseTable(p harness.Plan, ttl time.Duration, maxDeliveries int, backoff
 	return t
 }
 
-// restore pre-completes a unit from the gateway's resume journal.
-func (t *leaseTable) restore(i int, payload json.RawMessage) {
+// open makes unit i eligible for leasing and returns the channel closed
+// once the unit is done or terminally failed.
+func (t *leaseTable) open(i int) <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.units[i].state == stateIdle {
+		t.units[i].state = statePending
+	}
+	return t.units[i].resolved
+}
+
+// result is unit i's outcome once resolved: the accepted payload, or the
+// terminal failure.
+func (t *leaseTable) result(i int) (json.RawMessage, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	u := &t.units[i]
-	u.state = stateDone
-	u.payload = payload
+	if u.state == stateFailed {
+		return nil, errors.New(u.failure)
+	}
+	return u.payload, nil
 }
 
-// sweepLocked expires overdue leases and returns how many it expired.
-// Expired units re-enter dispatch: parked behind the redelivery backoff if
-// deliveries remain, terminally failed otherwise.
-func (t *leaseTable) sweepLocked() int {
-	now := t.now()
-	n := 0
-	for i := range t.units {
-		u := &t.units[i]
-		if u.state == stateLeased && now.After(u.deadline) {
-			t.expired++
-			n++
-			t.requeueLocked(i, "lease expired (worker lost or hung)")
-		}
+// settle records payload as unit i's result unless the unit already
+// resolved. A unit restored from the run's journal settles without ever
+// being leased; its bytes still dedup late duplicates.
+func (t *leaseTable) settle(i int, payload json.RawMessage) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s := t.units[i].state; s != stateDone && s != stateFailed {
+		t.resolveLocked(i, stateDone, payload)
 	}
-	return n
+}
+
+// resolveLocked moves unit i into a terminal state and wakes its waiter.
+func (t *leaseTable) resolveLocked(i int, state string, payload json.RawMessage) {
+	u := &t.units[i]
+	u.state = state
+	u.leaseID = ""
+	u.payload = append(json.RawMessage(nil), payload...)
+	close(u.resolved)
+}
+
+// close ends the job: every acquire from now on answers StatusDone.
+func (t *leaseTable) close() {
+	t.mu.Lock()
+	t.closed = true
+	t.mu.Unlock()
+}
+
+// violations lists the recorded determinism violations.
+func (t *leaseTable) violations() []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]string(nil), t.divergences...)
+}
+
+// expire re-dispatches unit i if its lease is overdue, reporting whether
+// it did. The gateway polls it while the unit is open, so a lease whose
+// worker vanished expires even when no other worker calls in.
+func (t *leaseTable) expire(i int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.expireLocked(i, t.now())
+}
+
+func (t *leaseTable) expireLocked(i int, now time.Time) bool {
+	u := &t.units[i]
+	if u.state != stateLeased || !now.After(u.deadline) {
+		return false
+	}
+	t.expired++
+	t.m.LeasesExpired.Add(1)
+	t.requeueLocked(i, "lease expired (worker lost or hung)")
+	return true
+}
+
+// sweepLocked expires every overdue lease. Expired units re-enter
+// dispatch: parked behind the redelivery backoff if deliveries remain,
+// terminally failed otherwise.
+func (t *leaseTable) sweepLocked() {
+	now := t.now()
+	for i := range t.units {
+		t.expireLocked(i, now)
+	}
 }
 
 // requeueLocked moves a leased unit back into dispatch after an expiry or
@@ -117,9 +186,10 @@ func (t *leaseTable) requeueLocked(i int, why string) {
 	u := &t.units[i]
 	u.leaseID = ""
 	if u.deliveries >= t.maxDeliveries {
-		u.state = stateFailed
 		u.failure = fmt.Sprintf("%s after %d deliveries (last worker %s): %s",
 			t.labels[i], u.deliveries, u.worker, why)
+		t.resolveLocked(i, stateFailed, nil)
+		t.m.UnitsFailed.Add(1)
 		return
 	}
 	u.state = stateDelayed
@@ -128,13 +198,6 @@ func (t *leaseTable) requeueLocked(i int, why string) {
 	pol := t.backoff
 	pol.Seed ^= uint64(i) * 0x9e3779b97f4a7c15
 	u.eligible = t.now().Add(pol.Delay(u.deliveries))
-}
-
-// sweep is sweepLocked for callers outside the table.
-func (t *leaseTable) sweep() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sweepLocked()
 }
 
 // acquire grants the lowest-index eligible unit to worker, or reports how
@@ -150,6 +213,10 @@ func (t *leaseTable) acquire(worker string) (lease LeaseResponse) {
 		u := &t.units[i]
 		switch u.state {
 		case statePending:
+		case stateIdle:
+			// The Runner is about to open it: poll again shortly.
+			wait = time.Nanosecond
+			continue
 		case stateDelayed:
 			if u.eligible.After(now) {
 				if d := u.eligible.Sub(now); wait == 0 || d < wait {
@@ -158,6 +225,7 @@ func (t *leaseTable) acquire(worker string) (lease LeaseResponse) {
 				continue
 			}
 			t.redelivered++
+			t.m.LeasesRedelivered.Add(1)
 		case stateLeased:
 			if d := u.deadline.Sub(now); wait == 0 || d < wait {
 				wait = d
@@ -173,12 +241,13 @@ func (t *leaseTable) acquire(worker string) (lease LeaseResponse) {
 		t.nextLease++
 		u.leaseID = fmt.Sprintf("l%d-u%d", t.nextLease, i)
 		t.granted++
+		t.m.LeasesGranted.Add(1)
 		return LeaseResponse{
 			Status: StatusGrant, LeaseID: u.leaseID, Index: i,
 			Fp: t.fps[i], Label: t.labels[i], TTLMillis: t.ttl.Milliseconds(),
 		}
 	}
-	if t.resolvedLocked() {
+	if t.closed || t.resolvedLocked() {
 		return LeaseResponse{Status: StatusDone}
 	}
 	if wait <= 0 || wait > t.ttl {
@@ -201,6 +270,7 @@ func (t *leaseTable) heartbeat(leaseID string) bool {
 		u := &t.units[i]
 		if u.state == stateLeased && u.leaseID == leaseID {
 			u.deadline = t.now().Add(t.ttl)
+			t.m.Heartbeats.Add(1)
 			return true
 		}
 	}
@@ -212,38 +282,40 @@ func (t *leaseTable) heartbeat(leaseID string) bool {
 // re-dispatched is still a correct result (units are deterministic), so it
 // is accepted if it arrives first and byte-verified if it arrives second.
 // The returned status distinguishes first acceptance, a byte-identical
-// duplicate, and a divergent duplicate (a determinism violation recorded
-// for the job verdict). ok is false when the fingerprint is unknown.
-func (t *leaseTable) complete(fp string, payload json.RawMessage) (status string, first bool, ok bool) {
+// duplicate, a divergent duplicate (a determinism violation recorded for
+// the job verdict), and a unit that already failed terminally. ok is
+// false when the fingerprint is unknown.
+func (t *leaseTable) complete(fp string, payload json.RawMessage) (status string, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	i, known := t.fpIndex[fp]
 	if !known {
-		return "", false, false
+		return "", false
 	}
 	u := &t.units[i]
-	if u.state == stateDone {
+	switch u.state {
+	case stateFailed:
+		return ResultFailed, true
+	case stateDone:
 		if bytes.Equal(u.payload, payload) {
 			t.duplicates++
-			return ResultDuplicate, false, true
+			t.m.ResultsDuplicate.Add(1)
+			return ResultDuplicate, true
 		}
 		t.divergent++
+		t.m.ResultsDivergent.Add(1)
 		t.divergences = append(t.divergences, fmt.Sprintf(
 			"unit %d (%s): duplicate result differs from accepted bytes (%d vs %d bytes)",
 			i, t.labels[i], len(payload), len(u.payload)))
-		return ResultDivergent, false, true
+		return ResultDivergent, true
 	}
-	// Accept even from stateFailed: a late result rescues a unit whose
-	// redelivery was exhausted — strictly better than a FAILED row.
-	u.state = stateDone
-	u.leaseID = ""
-	u.failure = ""
-	u.payload = append(json.RawMessage(nil), payload...)
-	return ResultAccepted, true, true
+	t.resolveLocked(i, stateDone, payload)
+	t.m.ResultsAccepted.Add(1)
+	return ResultAccepted, true
 }
 
 // fail records a worker's failure report for a leased unit and requeues
-// it. Reports for units that already resolved are ignored.
+// it. Reports for units that are not in dispatch are ignored.
 func (t *leaseTable) fail(fp, msg string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -251,11 +323,10 @@ func (t *leaseTable) fail(fp, msg string) bool {
 	if !known {
 		return false
 	}
-	u := &t.units[i]
-	if u.state == stateDone || u.state == stateFailed {
-		return true
+	switch t.units[i].state {
+	case statePending, stateLeased, stateDelayed:
+		t.requeueLocked(i, msg)
 	}
-	t.requeueLocked(i, msg)
 	return true
 }
 
@@ -293,27 +364,6 @@ func (t *leaseTable) snapshot(withUnits bool) StatusResponse {
 			})
 		}
 	}
-	s.Resolved = s.Done+s.Failed == s.Total
+	s.Resolved = t.closed || s.Done+s.Failed == s.Total
 	return s
-}
-
-// outcome extracts the merged inputs once the table is resolved: payloads
-// in enumeration order (nil for failed units) plus the failure messages
-// and any recorded divergences.
-func (t *leaseTable) outcome() (payloads []json.RawMessage, failures map[int]string, divergences []string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	payloads = make([]json.RawMessage, len(t.units))
-	failures = make(map[int]string)
-	for i := range t.units {
-		u := &t.units[i]
-		if u.state == stateDone {
-			payloads[i] = u.payload
-		} else if u.failure != "" {
-			failures[i] = u.failure
-		} else if u.state != stateDone {
-			failures[i] = t.labels[i] + ": unresolved"
-		}
-	}
-	return payloads, failures, append([]string(nil), t.divergences...)
 }

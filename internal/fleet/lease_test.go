@@ -64,8 +64,14 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// newToyTable is a lease table over an n-unit toy plan with every unit
+// already opened, as a Runner with one slot per unit opens them.
 func newToyTable(n int, ttl time.Duration, maxDeliveries int, pol harness.BackoffPolicy, clk *fakeClock) *leaseTable {
-	return newLeaseTable(&toyPlan{scope: "toy", n: n}, ttl, maxDeliveries, pol, clk.Now)
+	t := newLeaseTable(&toyPlan{scope: "toy", n: n}, ttl, maxDeliveries, pol, clk.Now, &live.NewTelemetry().Fleet)
+	for i := 0; i < n; i++ {
+		t.open(i)
+	}
+	return t
 }
 
 func TestLeaseTableGrantsInEnumerationOrder(t *testing.T) {
@@ -84,8 +90,8 @@ func TestLeaseTableGrantsInEnumerationOrder(t *testing.T) {
 		t.Fatalf("acquire with all units leased = %+v, want wait with a hint", l)
 	}
 	for i := 0; i < 3; i++ {
-		if st, first, ok := lt.complete((&toyPlan{scope: "toy", n: 3}).Fingerprint(i), toyPayload(i)); !ok || !first || st != ResultAccepted {
-			t.Fatalf("complete(%d) = %s first=%t ok=%t", i, st, first, ok)
+		if st, ok := lt.complete((&toyPlan{scope: "toy", n: 3}).Fingerprint(i), toyPayload(i)); !ok || st != ResultAccepted {
+			t.Fatalf("complete(%d) = %s ok=%t", i, st, ok)
 		}
 	}
 	if l := lt.acquire("w"); l.Status != StatusDone {
@@ -108,13 +114,13 @@ func TestLeaseTableHeartbeatExtendsAndExpires(t *testing.T) {
 			t.Fatalf("heartbeat %d failed under a live lease", i)
 		}
 	}
-	if n := lt.sweep(); n != 0 {
-		t.Fatalf("sweep expired %d leases under heartbeats", n)
+	if lt.expire(0) {
+		t.Fatal("lease expired under heartbeats")
 	}
 	// Silence past the TTL expires it; the heartbeat then reports gone.
 	clk.Advance(ttl + time.Millisecond)
-	if n := lt.sweep(); n != 1 {
-		t.Fatalf("sweep expired %d leases, want 1", n)
+	if !lt.expire(0) {
+		t.Fatal("lease silent past its TTL did not expire")
 	}
 	if lt.heartbeat(l.LeaseID) {
 		t.Fatal("heartbeat extended an expired lease")
@@ -158,7 +164,7 @@ func TestLeaseTableExhaustionTerminallyFails(t *testing.T) {
 			t.Fatalf("delivery %d: no grant", i+1)
 		}
 		clk.Advance(ttl + time.Millisecond)
-		lt.sweep()
+		lt.expire(0)
 	}
 	if l := lt.acquire("w"); l.Status != StatusDone {
 		t.Fatalf("acquire after exhaustion = %+v, want done (job resolved)", l)
@@ -167,9 +173,17 @@ func TestLeaseTableExhaustionTerminallyFails(t *testing.T) {
 	if s.Failed != 1 || !s.Resolved {
 		t.Fatalf("snapshot = %+v, want 1 failed, resolved", s)
 	}
-	_, failures, _ := lt.outcome()
-	if msg := failures[0]; !strings.Contains(msg, "after 2 deliveries") {
-		t.Errorf("failure message %q does not name the delivery count", msg)
+	select {
+	case <-lt.open(0):
+	default:
+		t.Fatal("exhaustion did not wake the unit's waiter")
+	}
+	if _, err := lt.result(0); err == nil || !strings.Contains(err.Error(), "after 2 deliveries") {
+		t.Errorf("failure %v does not name the delivery count", err)
+	}
+	// The unit's outcome is final: a late result does not overturn it.
+	if st, ok := lt.complete((&toyPlan{scope: "toy", n: 1}).Fingerprint(0), toyPayload(0)); !ok || st != ResultFailed {
+		t.Errorf("late complete = %s ok=%t, want %s", st, ok, ResultFailed)
 	}
 }
 
@@ -177,48 +191,23 @@ func TestLeaseTableCompleteDedupsAndFlagsDivergence(t *testing.T) {
 	clk := newFakeClock()
 	lt := newToyTable(1, time.Minute, 3, harness.BackoffPolicy{}, clk)
 	fp := (&toyPlan{scope: "toy", n: 1}).Fingerprint(0)
-	if st, _, ok := lt.complete(fp, toyPayload(0)); !ok || st != ResultAccepted {
+	if st, ok := lt.complete(fp, toyPayload(0)); !ok || st != ResultAccepted {
 		t.Fatalf("first complete = %s ok=%t", st, ok)
 	}
-	if st, first, _ := lt.complete(fp, toyPayload(0)); st != ResultDuplicate || first {
-		t.Fatalf("byte-identical duplicate = %s first=%t", st, first)
+	if st, _ := lt.complete(fp, toyPayload(0)); st != ResultDuplicate {
+		t.Fatalf("byte-identical duplicate = %s", st)
 	}
-	if st, _, _ := lt.complete(fp, json.RawMessage(`{"unit":0,"value":666}`)); st != ResultDivergent {
+	if st, _ := lt.complete(fp, json.RawMessage(`{"unit":0,"value":666}`)); st != ResultDivergent {
 		t.Fatalf("differing duplicate = %s, want divergent", st)
 	}
-	if st, _, ok := lt.complete("no-such-fp", toyPayload(0)); ok {
+	if st, ok := lt.complete("no-such-fp", toyPayload(0)); ok {
 		t.Fatalf("unknown fingerprint accepted as %s", st)
 	}
-	_, _, div := lt.outcome()
-	if len(div) != 1 || !strings.Contains(div[0], "unit 0") {
+	if div := lt.violations(); len(div) != 1 || !strings.Contains(div[0], "unit 0") {
 		t.Fatalf("divergences = %v, want one naming unit 0", div)
 	}
-	payloads, _, _ := lt.outcome()
-	if string(payloads[0]) != string(toyPayload(0)) {
-		t.Errorf("accepted payload changed: %s", payloads[0])
-	}
-}
-
-func TestLeaseTableLateResultRescuesFailedUnit(t *testing.T) {
-	clk := newFakeClock()
-	ttl := 10 * time.Millisecond
-	lt := newToyTable(1, ttl, 1, harness.BackoffPolicy{}, clk)
-	l := lt.acquire("w")
-	if l.Status != StatusGrant {
-		t.Fatal("no grant")
-	}
-	clk.Advance(ttl + time.Millisecond)
-	lt.sweep()
-	if s := lt.snapshot(false); s.Failed != 1 {
-		t.Fatalf("unit not failed after exhaustion: %+v", s)
-	}
-	// The worker was only slow, not dead: its result still lands.
-	if st, first, ok := lt.complete(l.Fp, toyPayload(0)); !ok || !first || st != ResultAccepted {
-		t.Fatalf("late complete = %s first=%t ok=%t", st, first, ok)
-	}
-	payloads, failures, _ := lt.outcome()
-	if len(failures) != 0 || string(payloads[0]) != string(toyPayload(0)) {
-		t.Fatalf("rescue left failures=%v payload=%s", failures, payloads[0])
+	if p, _ := lt.result(0); string(p) != string(toyPayload(0)) {
+		t.Errorf("accepted payload changed: %s", p)
 	}
 }
 
@@ -237,5 +226,26 @@ func TestLeaseTableWorkerFailureRequeuesImmediately(t *testing.T) {
 	clk.Advance(pol.Base + time.Millisecond)
 	if got := lt.acquire("w"); got.Status != StatusGrant {
 		t.Fatalf("acquire past failure backoff = %+v, want grant", got)
+	}
+}
+
+func TestLeaseTableLeasesOnlyOpenedUnits(t *testing.T) {
+	clk := newFakeClock()
+	lt := newLeaseTable(&toyPlan{scope: "toy", n: 2}, time.Minute, 3, harness.BackoffPolicy{}, clk.Now, &live.NewTelemetry().Fleet)
+	if l := lt.acquire("w"); l.Status != StatusWait {
+		t.Fatalf("acquire before any unit opened = %+v, want wait", l)
+	}
+	// Unit 0 was restored from the run's journal: it settles unleased.
+	lt.settle(0, toyPayload(0))
+	lt.open(1)
+	if l := lt.acquire("w"); l.Status != StatusGrant || l.Index != 1 {
+		t.Fatalf("acquire = %+v, want grant of the opened unit 1", l)
+	}
+	if st, _ := lt.complete(lt.fps[0], toyPayload(0)); st != ResultDuplicate {
+		t.Errorf("late result for the restored unit = %s, want duplicate", st)
+	}
+	lt.close()
+	if l := lt.acquire("w"); l.Status != StatusDone {
+		t.Fatalf("acquire after close = %+v, want done", l)
 	}
 }

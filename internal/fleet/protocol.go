@@ -9,10 +9,11 @@
 // (a harness.Cell, a fault campaign unit) is deterministic and
 // location-independent, identified by a stable fingerprint — so any worker
 // may run any unit, twice if need be, and the bytes come out the same.
-// Second, the journal's JSONL record format (PR 4) already serializes unit
-// results durably; the fleet reuses those records verbatim as its wire
-// format, so the gateway's crash journal, the worker's result stream, and
-// a local run's checkpoint file are one format.
+// Second, the journal's JSONL record format already serializes unit
+// results durably; the fleet reuses its record encoding as the wire
+// format of the worker's result stream. The gateway itself is a
+// harness.Plan that a harness.Runner executes like any local plan, so a
+// fleet job's journal is a local run's journal: each resumes the other.
 //
 // Work is handed out as leases: a unit index plus its fingerprint and a
 // deadline. Workers heartbeat to extend their lease; a lease that expires
@@ -25,17 +26,21 @@
 // protocol, journal format, or option set before they can run anything.
 package fleet
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"tvarak/internal/param"
+)
 
 // ProtocolVersion is the fleet control-plane version. Gateway and worker
 // must agree exactly; the join handshake rejects any mismatch with an
 // error naming both versions.
 const ProtocolVersion = 1
 
-// Record kinds carried on the wire (and in the gateway's journal). Result
-// payloads are kind-specific: a sweep unit's payload is the
-// harness.Result JSON a local journal would hold under "cell"; a campaign
-// unit's is the fault.UnitReport JSON a local journal holds under "unit".
+// Record kinds carried on the wire. Result payloads are kind-specific: a
+// sweep unit's payload is the harness.Result JSON the run's journal holds
+// under "cell"; a campaign unit's is the fault.UnitReport JSON it holds
+// under "unit".
 const (
 	// KindResult is a completed unit's result record: fingerprint plus
 	// the unit's payload bytes.
@@ -43,10 +48,6 @@ const (
 	// KindFail is a worker's failure report for a leased unit: the
 	// gateway treats it like an expired lease (redelivery with backoff).
 	KindFail = "fleet-fail"
-	// KindJob is the gateway journal's job-identity record: the JobSpec
-	// under the job scope, so -resume can verify it is resuming the same
-	// job.
-	KindJob = "fleet-job"
 )
 
 // JobSpec declares a job declaratively — never as code — so the gateway
@@ -78,6 +79,17 @@ type JobSpec struct {
 	DirtyGran   string `json:"dirtyGran,omitempty"`
 	Battery     bool   `json:"battery,omitempty"`
 	Incremental bool   `json:"incremental,omitempty"`
+}
+
+// With returns s carrying the option groups both job kinds share: the
+// design subset, in the Design.String() form every worker parses back,
+// and the async flags.
+func (s JobSpec) With(designs []param.Design, a param.AsyncFlags) JobSpec {
+	for _, d := range designs {
+		s.Designs = append(s.Designs, d.String())
+	}
+	s.EpochCyc, s.DirtyGran, s.Battery, s.Incremental = a.Epoch, a.DirtyGran, a.Battery, a.Incremental
+	return s
 }
 
 // JobResponse answers GET /v1/job: the gateway's protocol identity, the
@@ -157,15 +169,16 @@ type HeartbeatResponse struct {
 
 // Result statuses in ResultResponse.Status.
 const (
-	// ResultAccepted: first result for the unit; journaled and counted.
+	// ResultAccepted: first result for the unit; the run journals it.
 	ResultAccepted = "accepted"
 	// ResultDuplicate: the unit was already done and the bytes matched.
 	ResultDuplicate = "duplicate"
 	// ResultDivergent: the unit was already done and the bytes DIFFERED —
 	// a determinism violation the gateway records and fails the job on.
 	ResultDivergent = "divergent"
-	// ResultFailed: the body was a KindFail record; the unit goes back
-	// into the redelivery queue (or fails terminally).
+	// ResultFailed: the body was a KindFail record, and the unit goes back
+	// into the redelivery queue (or fails terminally); or the body was a
+	// result for a unit that had already failed terminally.
 	ResultFailed = "failed"
 )
 

@@ -250,9 +250,9 @@ func DecodeRecord(line []byte) (kind, fp string, data json.RawMessage, err error
 }
 
 // RecordRaw durably appends a record whose payload is already marshalled
-// (a wire line's Data), byte-for-byte. The gateway checkpoints worker
-// results with it so its journal holds exactly the bytes it deduplicates
-// against.
+// (a unit's payload, or a wire line's Data), byte-for-byte. The Runner
+// checkpoints payloads with it, so a fleet job's journal holds exactly
+// the bytes the gateway deduplicated against.
 func (j *Journal) RecordRaw(kind, fp string, data json.RawMessage) error {
 	line, err := encodeRaw(kind, fp, data)
 	if err != nil {
@@ -278,19 +278,6 @@ func (j *Journal) LookupRaw(kind, fp string) json.RawMessage {
 		return nil
 	}
 	return append(json.RawMessage(nil), data...)
-}
-
-// Lookup restores the payload of the (kind, fingerprint) record into out,
-// reporting whether such a record exists. A payload that no longer decodes
-// into out's type reports false, like a corrupt line.
-func (j *Journal) Lookup(kind, fp string, out any) bool {
-	j.mu.Lock()
-	data, ok := j.seen[journalKey{kind, fp}]
-	j.mu.Unlock()
-	if !ok || data == nil {
-		return false
-	}
-	return json.Unmarshal(data, out) == nil
 }
 
 // Restored is how many well-formed records were loaded from disk when the

@@ -19,7 +19,7 @@ import (
 type Plan interface {
 	// Scope identifies the job: the experiment/campaign id plus every
 	// option that shapes its units. It names the job on the /runs board,
-	// binds the fleet gateway's journal, and anchors the fleet's join
+	// scopes sweep cell fingerprints, and anchors the fleet's join
 	// handshake.
 	Scope() string
 	// Kind is the journal record kind the plan's payloads are

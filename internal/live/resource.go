@@ -3,9 +3,11 @@ package live
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"tvarak/internal/applog"
@@ -41,8 +43,9 @@ type ResourceSampler struct {
 	log   *applog.Log
 	stop  chan struct{}
 	done  chan struct{}
-	// Touched only by sample, whose calls are ordered: the first runs
-	// before loop starts and the last after loop exits.
+	// mu serializes samples: the loop's, and those callers take with
+	// Sample.
+	mu     sync.Mutex
 	prevAt time.Time
 	prevAc uint64
 	err    error // first append failure
@@ -61,7 +64,7 @@ func StartResourceSampler(t *Telemetry, log *applog.Log, every time.Duration) *R
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	s.sample()
+	s.Sample()
 	go s.loop()
 	return s
 }
@@ -73,14 +76,18 @@ func (s *ResourceSampler) loop() {
 	for {
 		select {
 		case <-tick.C:
-			s.sample()
+			s.Sample()
 		case <-s.stop:
 			return
 		}
 	}
 }
 
-func (s *ResourceSampler) sample() {
+// Sample takes one sample now, synchronously, in addition to the
+// periodic ones.
+func (s *ResourceSampler) Sample() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	now := time.Now()
@@ -117,7 +124,7 @@ func (s *ResourceSampler) sample() {
 func (s *ResourceSampler) Stop() error {
 	close(s.stop)
 	<-s.done
-	s.sample()
+	s.Sample()
 	return s.err
 }
 
@@ -157,6 +164,7 @@ type OpsConfig struct {
 	AddrFile    string        // write the resolved listen address here (for :0 in scripts)
 	LedgerPath  string        // append resource samples to this JSONL file ("" = no ledger)
 	SampleEvery time.Duration // resource sample interval (default 1s)
+	API         http.Handler  // when non-nil, served under /v1/ (the fleet control plane)
 }
 
 // Enabled reports whether the config asks for the ops server or the
@@ -185,6 +193,11 @@ func StartOps(t *Telemetry, cfg OpsConfig) (*Ops, error) {
 			return nil, err
 		}
 		o.srv = srv
+		if cfg.API != nil {
+			// Mounted before the address is published, so a script that
+			// waits for AddrFile never finds /v1/ missing.
+			srv.mux.Handle("/v1/", cfg.API)
+		}
 		if cfg.AddrFile != "" {
 			if err := os.WriteFile(cfg.AddrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
 				_ = srv.Close()
@@ -212,6 +225,14 @@ func (o *Ops) Addr() string {
 		return ""
 	}
 	return o.srv.Addr()
+}
+
+// Sample appends one resource sample to the ledger now, if a sampler
+// runs. Safe on nil.
+func (o *Ops) Sample() {
+	if o != nil && o.sampler != nil {
+		o.sampler.Sample()
+	}
 }
 
 // Close stops the sampler (final sample), closes the ledger, and

@@ -16,6 +16,7 @@ import (
 // return until the goroutine has exited, so a closed server leaks nothing.
 type Server struct {
 	ln  net.Listener
+	mux *http.ServeMux
 	srv *http.Server
 	wg  sync.WaitGroup
 }
@@ -50,7 +51,7 @@ func Serve(addr string, t *Telemetry) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
+	s := &Server{ln: ln, mux: mux, srv: &http.Server{Handler: mux}}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

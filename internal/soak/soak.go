@@ -54,6 +54,11 @@ type Config struct {
 	// OpsLedgerPath is the live ops resource ledger the gates analyze —
 	// the file the run's own resource sampler appends to.
 	OpsLedgerPath string
+	// Sample, when non-nil, appends a resource sample to OpsLedgerPath
+	// synchronously. The gate takes one after the batch, while no unit
+	// runs, so the goroutine check never compares against a sample the
+	// periodic sampler happened to take mid-batch.
+	Sample func()
 	// LedgerPath is where the soak ledger is written. Required.
 	LedgerPath string
 	// Journal, when non-nil, makes the supervisor itself crash-safe: the
@@ -233,6 +238,9 @@ func Run(cfg Config) (*Summary, error) {
 		// line it covers before that line is appended.
 		if cfg.GateEvery > 0 && cfg.OpsLedgerPath != "" && complete > 0 &&
 			start+complete-lastGate >= cfg.GateEvery {
+			if cfg.Sample != nil {
+				cfg.Sample()
+			}
 			findings, _, gerr := cfg.Gate.AnalyzeLedgerFile(cfg.OpsLedgerPath)
 			if gerr != nil {
 				return sum, fmt.Errorf("soak: resource gate: %w", gerr)

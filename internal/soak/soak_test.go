@@ -296,6 +296,50 @@ func TestSoakGateFailure(t *testing.T) {
 	}
 }
 
+// TestSoakGateSamplesAtQuiescence: the goroutine gate judges a sample the
+// supervisor takes after the batch, not whichever periodic sample landed
+// last. The ledger's last periodic sample here was taken mid-batch (11
+// goroutines against an idle first sample of 1, past the slack of 8); the
+// quiescent one the gate takes shows 2 and passes.
+func TestSoakGateSamplesAtQuiescence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	for _, quiesce := range []bool{false, true} {
+		dir := t.TempDir()
+		ops := filepath.Join(dir, "ops.jsonl")
+		writeOpsLedger(t, ops, []int{1, 11})
+		cfg := Config{
+			Seed:          11,
+			Units:         2,
+			Parallel:      2,
+			GateEvery:     2,
+			OpsLedgerPath: ops,
+			LedgerPath:    filepath.Join(dir, "soak.jsonl"),
+		}
+		if quiesce {
+			cfg.Sample = func() {
+				f, err := os.OpenFile(ops, os.O_APPEND|os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				if err := json.NewEncoder(f).Encode(live.ResourceSample{UnixMS: 2000, HeapAlloc: 1 << 20, Goroutines: 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		_, err := Run(cfg)
+		if quiesce != (err == nil) {
+			t.Errorf("quiescent sample %t: Run err = %v", quiesce, err)
+		}
+		lines := readLedgerFile(t, cfg.LedgerPath)
+		if got := lines[len(lines)-1].GateFindings; quiesce != (len(got) == 0) {
+			t.Errorf("quiescent sample %t: gate findings %v", quiesce, got)
+		}
+	}
+}
+
 // TestSoakDurationBound: with no unit bound, the deadline stops the run
 // cleanly and the ledger is a contiguous prefix of the stream.
 func TestSoakDurationBound(t *testing.T) {
