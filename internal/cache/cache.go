@@ -47,10 +47,14 @@ func (s State) String() string {
 // Line is one cache line: tag, content, coherence state and, in the LLC,
 // the directory of upper-level owners.
 type Line struct {
-	Addr   uint64 // line-aligned physical address; valid when State != Invalid
-	State  State
-	Data   []byte
-	Owners uint64 // LLC directory: bit i set if core i's private caches hold the line
+	Addr  uint64 // line-aligned physical address; valid when State != Invalid
+	State State
+	Data  []byte
+	// Owners is the LLC directory: bit i is set if core i's private caches
+	// hold the line. On LLC redundancy-partition lines, which no core
+	// caches, the TVARAK controller keeps its sharer mask here instead:
+	// bit i is set if bank i's on-controller cache holds the line.
+	Owners uint64
 	lru    uint64
 }
 

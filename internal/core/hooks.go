@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tvarak/internal/cache"
 	"tvarak/internal/nvm"
@@ -48,7 +49,7 @@ func (t *Controller) OnFill(issue, complete uint64, addr uint64, data []byte) ui
 // reconstructed from parity and data receives the recovered line. Returns
 // the cycle at which the verified line can be handed over.
 func (t *Controller) verifyPageGranular(issue, complete uint64, bank int, addr uint64, data []byte) uint64 {
-	geo := t.eng.Geo
+	geo := &t.eng.Geo
 	base := geo.PageBase(geo.PageOf(addr))
 	off := int(addr - base)
 	ls := t.lineSize
@@ -190,7 +191,7 @@ func (t *Controller) updateRedundancy(now uint64, m *Mapping, addr uint64, old, 
 // the parity delta), recompute the page checksum with the new line content,
 // and update parity and checksum.
 func (t *Controller) updateRedundancyPage(now uint64, m *Mapping, addr uint64, newData []byte) {
-	geo := t.eng.Geo
+	geo := &t.eng.Geo
 	bank := t.eng.BankIndex(addr)
 	base := geo.PageBase(geo.PageOf(addr))
 	off := int(addr - base)
@@ -276,7 +277,7 @@ func (t *Controller) recoverPage(now uint64, bank int, base uint64, want uint32,
 //
 // Invariants:
 //  1. On-controller ⊆ LLC redundancy partition (inclusive).
-//  2. The holders map covers every on-controller resident.
+//  2. The LLC copy's Owners names exactly the banks caching the line.
 //  3. At most one bank holds a given redundancy line dirty.
 func (t *Controller) CheckInvariants() error {
 	dirtyHolders := map[uint64]int{}
@@ -286,18 +287,33 @@ func (t *Controller) CheckInvariants() error {
 			if err != nil {
 				return
 			}
-			if t.eng.Bank(l.Addr).Lookup(l.Addr, t.redLo, t.redHi) == nil {
+			ll := t.eng.Bank(l.Addr).Lookup(l.Addr, t.redLo, t.redHi)
+			if ll == nil {
 				err = fmt.Errorf("core: on-controller line %#x (bank %d) missing from LLC partition", l.Addr, bank)
 				return
 			}
-			if t.holders[l.Addr]&(1<<uint(bank)) == 0 {
-				err = fmt.Errorf("core: holders map missing bank %d for %#x", bank, l.Addr)
+			if ll.Owners&(1<<uint(bank)) == 0 {
+				err = fmt.Errorf("core: LLC owners of %#x missing bank %d", l.Addr, bank)
 				return
 			}
 			if l.Dirty() {
 				dirtyHolders[l.Addr]++
 				if dirtyHolders[l.Addr] > 1 {
 					err = fmt.Errorf("core: redundancy line %#x dirty in multiple controllers", l.Addr)
+				}
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	for _, b := range t.eng.Banks {
+		var err error
+		b.ForEach(t.redLo, t.redHi, func(l *cache.Line) {
+			for hs := l.Owners; hs != 0 && err == nil; hs &= hs - 1 {
+				bank := bits.TrailingZeros64(hs)
+				if bank >= len(t.onCtrl) || t.onCtrl[bank].Lookup(l.Addr, 0, t.onCtrl[bank].Ways()) == nil {
+					err = fmt.Errorf("core: LLC owners of %#x name bank %d, which does not cache it", l.Addr, bank)
 				}
 			}
 		})
@@ -319,7 +335,6 @@ func (t *Controller) DropCaches() {
 			oc.Invalidate(l)
 		})
 	}
-	clear(t.holders)
 }
 
 // Drain implements sim.RedundancyController: flush dirty redundancy from
@@ -331,10 +346,11 @@ func (t *Controller) Drain(now uint64) {
 	}
 	for bank, oc := range t.onCtrl {
 		oc.ForEach(0, oc.Ways(), func(l *cache.Line) {
+			ll := t.llcCopy(l)
 			if l.Dirty() {
-				t.copyBackToLLC(l)
+				t.copyBackToLLC(ll, l)
 			}
-			t.holders[l.Addr] &^= 1 << uint(bank)
+			ll.Owners &^= 1 << uint(bank)
 			oc.Invalidate(l)
 		})
 	}

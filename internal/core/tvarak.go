@@ -60,8 +60,10 @@ type Controller struct {
 	pageCsumDI    uint64
 	havePageCsums bool
 
-	onCtrl  []*cache.Cache
-	holders map[uint64]uint64 // redundancy line addr → bitmask of banks caching it
+	// onCtrl are the per-bank on-controller caches. They are inclusive in
+	// the LLC redundancy partition, whose line's Owners (unused there by
+	// the engine's directory) is the bitmask of banks caching the line.
+	onCtrl []*cache.Cache
 
 	redLo, redHi   int // LLC redundancy partition way range
 	diffLo, diffHi int
@@ -88,7 +90,6 @@ func New(eng *sim.Engine) *Controller {
 	t := &Controller{
 		eng:           eng,
 		p:             p,
-		holders:       make(map[uint64]uint64),
 		lineSize:      cfg.LineSize,
 		scratchOld:    make([]byte, cfg.LineSize),
 		scratchSib:    make([]byte, cfg.LineSize),
@@ -146,7 +147,7 @@ func (t *Controller) SetPageCsumTable(startDI uint64) {
 // match runs the address-range comparators: it returns the mapping covering
 // the DAX data line at addr, or nil.
 func (t *Controller) match(addr uint64) *Mapping {
-	geo := t.eng.Geo
+	geo := &t.eng.Geo
 	if !geo.IsNVM(addr) {
 		return nil
 	}
@@ -167,7 +168,7 @@ func (t *Controller) match(addr uint64) *Mapping {
 // csumSlot returns the checksum line address and packed slot index of the
 // DAX-CL-checksum for data line addr under mapping m.
 func (t *Controller) csumSlot(m *Mapping, addr uint64) (lineAddr uint64, slot int) {
-	geo := t.eng.Geo
+	geo := &t.eng.Geo
 	di := geo.DataIndexOf(geo.PageOf(addr))
 	lineIdx := (di-m.StartDI)*uint64(geo.LinesPerPage()) +
 		((addr-geo.NVMBase())%uint64(geo.PageSize))/uint64(geo.LineSize)
@@ -182,7 +183,7 @@ func (t *Controller) pageCsumSlot(addr uint64) (lineAddr uint64, slot int) {
 	if !t.havePageCsums {
 		panic("core: page-granular mode without a page checksum table")
 	}
-	geo := t.eng.Geo
+	geo := &t.eng.Geo
 	di := geo.DataIndexOf(geo.PageOf(addr))
 	a := geo.DataIndexAddr(t.pageCsumDI, di*xsum.Size)
 	return geo.LineAddr(a), int(a%uint64(t.lineSize)) / xsum.Size
@@ -230,7 +231,7 @@ func (t *Controller) redGet(now uint64, bank int, addr uint64, lat *uint64) redL
 		t.evictOnCtrl(bank, v)
 	}
 	oc.Install(v, addr, ll.Data, cache.Shared)
-	t.holders[addr] |= 1 << uint(bank)
+	ll.Owners |= 1 << uint(bank)
 	return redLine{Data: v.Data, addr: addr, cached: v}
 }
 
@@ -248,7 +249,12 @@ func (t *Controller) redPut(now uint64, rl redLine) {
 // first folding a dirty copy back into the LLC partition (MESI M→I with
 // writeback).
 func (t *Controller) claimExclusive(now uint64, addr uint64, bank int) {
-	hs := t.holders[addr] &^ (1 << uint(bank))
+	// With no LLC copy, inclusion means no controller holds the line.
+	ll := t.eng.Bank(addr).Lookup(addr, t.redLo, t.redHi)
+	if ll == nil {
+		return
+	}
+	hs := ll.Owners &^ (1 << uint(bank))
 	if hs == 0 {
 		return
 	}
@@ -263,23 +269,28 @@ func (t *Controller) claimExclusive(now uint64, addr uint64, bank int) {
 			continue
 		}
 		if l.Dirty() {
-			t.copyBackToLLC(l)
+			t.copyBackToLLC(ll, l)
 		}
 		oc.Invalidate(l)
 		t.eng.St.RedInvalidations++
 		t.eng.Emit(obs.EvRedInval, now, addr, uint64(b))
 	}
-	t.holders[addr] &= 1 << uint(bank)
+	ll.Owners &= 1 << uint(bank)
 }
 
-// copyBackToLLC folds a dirty on-controller line into its inclusive LLC
-// partition copy.
-func (t *Controller) copyBackToLLC(l *cache.Line) {
-	b := t.eng.Bank(l.Addr)
-	ll := b.Lookup(l.Addr, t.redLo, t.redHi)
+// llcCopy returns the LLC partition copy of on-controller line l, which
+// inclusion guarantees.
+func (t *Controller) llcCopy(l *cache.Line) *cache.Line {
+	ll := t.eng.Bank(l.Addr).Lookup(l.Addr, t.redLo, t.redHi)
 	if ll == nil {
 		panic(fmt.Sprintf("core: on-controller/LLC redundancy inclusion violated for %#x", l.Addr))
 	}
+	return ll
+}
+
+// copyBackToLLC folds dirty on-controller line l into its LLC partition
+// copy ll.
+func (t *Controller) copyBackToLLC(ll, l *cache.Line) {
 	copy(ll.Data, l.Data)
 	ll.State = cache.Modified
 	t.eng.St.AddCache(stats.LLC, true, t.eng.Cfg.LLCBank.HitEnergyPJ)
@@ -288,10 +299,11 @@ func (t *Controller) copyBackToLLC(l *cache.Line) {
 // evictOnCtrl frees one on-controller way, folding dirty content back into
 // the LLC partition.
 func (t *Controller) evictOnCtrl(bank int, v *cache.Line) {
+	ll := t.llcCopy(v)
 	if v.Dirty() {
-		t.copyBackToLLC(v)
+		t.copyBackToLLC(ll, v)
 	}
-	t.holders[v.Addr] &^= 1 << uint(bank)
+	ll.Owners &^= 1 << uint(bank)
 	t.onCtrl[bank].Invalidate(v)
 }
 
@@ -322,7 +334,7 @@ func (t *Controller) llcRedGet(now uint64, addr uint64, lat *uint64) *cache.Line
 // evictRedLLC evicts an LLC redundancy-partition line: pulls any dirty
 // on-controller copy (inclusivity), then writes dirty content to NVM.
 func (t *Controller) evictRedLLC(now uint64, v *cache.Line) {
-	if hs := t.holders[v.Addr]; hs != 0 {
+	if hs := v.Owners; hs != 0 {
 		for b := 0; hs != 0; b++ {
 			if hs&(1<<uint(b)) == 0 {
 				continue
@@ -339,7 +351,6 @@ func (t *Controller) evictRedLLC(now uint64, v *cache.Line) {
 				t.eng.Emit(obs.EvRedInval, now, v.Addr, uint64(b))
 			}
 		}
-		delete(t.holders, v.Addr)
 	}
 	if v.Dirty() {
 		t.eng.NVM.WriteLine(now, v.Addr, nvm.Redundancy, v.Data)

@@ -42,7 +42,7 @@ func sys(t *testing.T, feats param.TvarakFeatures) (*sim.Engine, *core.Controlle
 // XOR of its stripe's data lines — the two invariants TVARAK maintains.
 func checkIntegrity(t *testing.T, e *sim.Engine, m *daxfs.DaxMap, clChecksums bool) {
 	t.Helper()
-	geo := e.Geo
+	geo := &e.Geo
 	ls := geo.LineSize
 	line := make([]byte, ls)
 	if clChecksums {

@@ -26,7 +26,7 @@ import (
 // FS is the file system instance for one simulated machine.
 type FS struct {
 	eng  *sim.Engine
-	geo  geom.Geometry
+	geo  *geom.Geometry   // the engine's
 	ctrl *core.Controller // non-nil only under the Tvarak design
 
 	nextDI  uint64 // bump allocator over data-page indices, stripe-aligned
@@ -58,7 +58,7 @@ func (f *File) Size() uint64 { return f.Pages * f.pageSize }
 // pass the controller so mappings are registered with it; otherwise ctrl is
 // nil.
 func New(eng *sim.Engine, ctrl *core.Controller) (*FS, error) {
-	geo := eng.Geo
+	geo := &eng.Geo
 	fs := &FS{
 		eng:     eng,
 		geo:     geo,
@@ -99,8 +99,8 @@ func (fs *FS) Engine() *sim.Engine { return fs.eng }
 // designs).
 func (fs *FS) Controller() *core.Controller { return fs.ctrl }
 
-// Geometry returns the NVM layout.
-func (fs *FS) Geometry() geom.Geometry { return fs.geo }
+// Geometry returns the NVM layout: the engine's own, shared and read-only.
+func (fs *FS) Geometry() *geom.Geometry { return fs.geo }
 
 // pageCsumAddr returns the physical address of data page p's checksum entry.
 func (fs *FS) pageCsumAddr(dataIndex uint64) uint64 {

@@ -2,7 +2,8 @@
 // (page-interleaved, with injectable firmware bugs and device-level ECC)
 // and DRAM DIMMs (line-interleaved). Devices are backed by real bytes so
 // that checksums, parity, corruption and recovery are computed over real
-// content rather than emulated with flags.
+// content rather than emulated with flags. The bytes are allocated a page
+// at a time on first write; media never written reads as zeros.
 //
 // Faithful to §II-A of the paper, device-level ECC is read and written as
 // an atom with its data by the firmware during each media access, so it
@@ -61,18 +62,34 @@ type bug struct {
 	target uint64 // where a misdirected access actually lands / reads from
 }
 
+// slabPages is how many media pages one slab allocation holds: enough
+// that a cell's media is a few large pointer-free objects, few enough that
+// a cell touching a handful of pages allocates little.
+const slabPages = 64
+
+// A slab backs slabPages media pages with their device ECC words. Each
+// stored ECC word is the line's ECC XOR the all-zero line's ECC, so a
+// freshly allocated (zeroed) slab holds zero lines whose ECC verifies.
+type slab struct {
+	data []byte
+	ecc  []uint32
+}
+
 type dimm struct {
-	data    []byte
-	ecc     []uint32 // one device ECC word per line, stored "with" the data
-	busyCyc uint64   // accumulated transfer occupancy (bandwidth bound)
+	// pages maps each DIMM-local media page to its 1-based slot in the
+	// pool's slabs; 0 marks a page never written, which reads as zeros
+	// with a verifying ECC.
+	pages   []uint32
+	busyCyc uint64 // accumulated transfer occupancy (bandwidth bound)
 	reads   uint64
 	writes  uint64
 }
 
-// Memory is one memory pool (all NVM DIMMs or all DRAM DIMMs).
+// Memory is one memory pool (all NVM DIMMs or all DRAM DIMMs). Media is
+// allocated lazily, a page at a time on first write, so a pool costs only
+// its page tables until the simulation touches it.
 type Memory struct {
 	kind     Kind
-	geo      geom.Geometry
 	p        param.MemParams
 	base     uint64
 	size     uint64
@@ -83,7 +100,8 @@ type Memory struct {
 	// Precomputed interleave arithmetic for locate(), which runs on every
 	// media access: unit is the interleave granule (page for NVM, line for
 	// DRAM) and nd the DIMM count; the shift/mask forms apply when the
-	// respective value is a power of two.
+	// respective value is a power of two. Lines are a power of two
+	// (param.Validate), so line arithmetic is always shift/mask.
 	unit      uint64
 	unitShift uint
 	unitPow2  bool
@@ -92,7 +110,17 @@ type Memory struct {
 	dimmMask  uint64
 	dimmPow2  bool
 	lineShift uint
-	linePow2  bool
+
+	// Media pages are geometry pages of DIMM-local space: page, with its
+	// shift form when a power of two, and lpp lines per page.
+	page      uint64
+	pageShift uint
+	pagePow2  bool
+	lpp       uint64
+
+	slabs   []slab
+	used    uint32 // media pages allocated so far (the last slot handed out)
+	zeroECC uint32
 
 	// One-shot firmware bugs armed by tests and fault-injection tools,
 	// keyed by intended line address. NVM only. Bugs model firmware
@@ -130,54 +158,47 @@ func (m *Memory) SetReadObserver(o ReadObserver) { m.obsR = o }
 
 // New builds a memory pool. For NVMKind the pool spans
 // [geo.NVMBase(), geo.NVMEnd()); for DRAMKind it spans [0, geo.DRAMBytes).
-func New(kind Kind, geo geom.Geometry, p param.MemParams, st *stats.Stats) *Memory {
+// Only the per-DIMM page tables are allocated; media pages come on first
+// write.
+func New(kind Kind, geo *geom.Geometry, p param.MemParams, st *stats.Stats) *Memory {
 	m := &Memory{
-		kind:     kind,
-		geo:      geo,
-		p:        p,
-		lineSize: geo.LineSize,
-		st:       st,
-		bugsW:    make(map[uint64]bug),
-		bugsR:    make(map[uint64]bug),
+		kind:      kind,
+		p:         p,
+		lineSize:  geo.LineSize,
+		lineShift: uint(bits.TrailingZeros64(uint64(geo.LineSize))),
+		page:      uint64(geo.PageSize),
+		lpp:       uint64(geo.LinesPerPage()),
+		st:        st,
+		zeroECC:   xsum.Checksum(make([]byte, geo.LineSize)),
+		bugsW:     make(map[uint64]bug),
+		bugsR:     make(map[uint64]bug),
 	}
 	if kind == NVMKind {
 		m.base = geo.NVMBase()
 		m.size = uint64(geo.NVMBytes)
-		m.unit = uint64(geo.PageSize)
+		m.unit = m.page
 	} else {
 		m.base = 0
 		m.size = uint64(geo.DRAMBytes)
 		m.unit = uint64(geo.LineSize)
 	}
-	if m.unit&(m.unit-1) == 0 {
-		m.unitPow2 = true
-		m.unitShift = uint(bits.TrailingZeros64(m.unit))
-	}
+	m.unitPow2, m.unitShift = pow2(m.unit)
+	m.pagePow2, m.pageShift = pow2(m.page)
 	m.nd = uint64(p.DIMMs)
-	if m.nd&(m.nd-1) == 0 {
-		m.dimmPow2 = true
-		m.dimmShift = uint(bits.TrailingZeros64(m.nd))
+	if m.dimmPow2, m.dimmShift = pow2(m.nd); m.dimmPow2 {
 		m.dimmMask = m.nd - 1
 	}
-	if ls := uint64(m.lineSize); ls&(ls-1) == 0 {
-		m.linePow2 = true
-		m.lineShift = uint(bits.TrailingZeros64(ls))
-	}
-	per := int(m.size) / p.DIMMs
-	zeroECC := xsum.Checksum(make([]byte, m.lineSize))
+	per := m.size / m.nd
+	pages := (per + m.page - 1) / m.page
 	m.dimms = make([]*dimm, p.DIMMs)
 	for i := range m.dimms {
-		d := &dimm{
-			data: make([]byte, per),
-			ecc:  make([]uint32, per/m.lineSize),
-		}
-		// Fresh media is zeroed; its ECC must verify.
-		for j := range d.ecc {
-			d.ecc[j] = zeroECC
-		}
-		m.dimms[i] = d
+		m.dimms[i] = &dimm{pages: make([]uint32, pages)}
 	}
 	return m
+}
+
+func pow2(v uint64) (bool, uint) {
+	return v&(v-1) == 0, uint(bits.TrailingZeros64(v))
 }
 
 // Contains reports whether addr belongs to this pool.
@@ -185,10 +206,12 @@ func (m *Memory) Contains(addr uint64) bool {
 	return addr >= m.base && addr < m.base+m.size
 }
 
-// locate maps a line address to its DIMM and the byte offset within it.
-// The interleave granule (page for NVM, line for DRAM) is precomputed as
-// unit; shift/mask fast paths cover the power-of-two cases.
-func (m *Memory) locate(addr uint64) (*dimm, uint64) {
+// locate maps an address to its DIMM, the media page there and the byte
+// offset within that page, plus rest, the bytes from addr to the end of
+// its interleave unit (which never crosses a media page). The interleave
+// granule (page for NVM, line for DRAM) is precomputed as unit;
+// shift/mask fast paths cover the power-of-two cases.
+func (m *Memory) locate(addr uint64) (d *dimm, pg, in, rest uint64) {
 	rel := addr - m.base
 	var idx, inUnit uint64
 	if m.unitPow2 {
@@ -196,32 +219,55 @@ func (m *Memory) locate(addr uint64) (*dimm, uint64) {
 	} else {
 		idx, inUnit = rel/m.unit, rel%m.unit
 	}
-	var d, row uint64
+	var di, row uint64
 	if m.dimmPow2 {
-		d, row = idx&m.dimmMask, idx>>m.dimmShift
+		di, row = idx&m.dimmMask, idx>>m.dimmShift
 	} else {
-		d, row = idx%m.nd, idx/m.nd
+		di, row = idx%m.nd, idx/m.nd
 	}
-	return m.dimms[d], row*m.unit + inUnit
+	off := row*m.unit + inUnit
+	if m.pagePow2 {
+		pg, in = off>>m.pageShift, off&(m.page-1)
+	} else {
+		pg, in = off/m.page, off%m.page
+	}
+	return m.dimms[di], pg, in, m.unit - inUnit
 }
 
-// eccIndex returns the per-line ECC slot for a DIMM byte offset.
-func (m *Memory) eccIndex(off uint64) uint64 {
-	if m.linePow2 {
-		return off >> m.lineShift
+// slot returns the stored bytes and ECC words of the media page in slot s.
+func (m *Memory) slot(s uint32) ([]byte, []uint32) {
+	s--
+	sl := &m.slabs[s/slabPages]
+	k := uint64(s % slabPages)
+	return sl.data[k*m.page : (k+1)*m.page], sl.ecc[k*m.lpp : (k+1)*m.lpp]
+}
+
+// touch returns DIMM d's media page pg, allocating it (as zeros with
+// verifying ECC) on first use.
+func (m *Memory) touch(d *dimm, pg uint64) ([]byte, []uint32) {
+	s := d.pages[pg]
+	if s == 0 {
+		if m.used%slabPages == 0 {
+			m.slabs = append(m.slabs, slab{
+				data: make([]byte, slabPages*m.page),
+				ecc:  make([]uint32, slabPages*m.lpp),
+			})
+		}
+		m.used++
+		s = m.used
+		d.pages[pg] = s
 	}
-	return off / uint64(m.lineSize)
+	return m.slot(s)
 }
 
 func (m *Memory) checkLine(addr uint64) uint64 {
-	la := m.geo.LineAddr(addr)
-	if la != addr {
+	if addr&uint64(m.lineSize-1) != 0 {
 		panic(fmt.Sprintf("nvm: unaligned line address %#x", addr))
 	}
 	if !m.Contains(addr) {
 		panic(fmt.Sprintf("nvm: address %#x outside pool [%#x,%#x)", addr, m.base, m.base+m.size))
 	}
-	return la
+	return addr
 }
 
 // ReadLine performs a timed media read of the 64 B line at addr into buf,
@@ -240,17 +286,23 @@ func (m *Memory) ReadLine(now uint64, addr uint64, class Class, buf []byte) (uin
 			src = b.target
 		}
 	}
-	d, off := m.locate(src)
+	d, pg, in, _ := m.locate(src)
 	m.accRead(d, class)
-	copy(buf, d.data[off:off+uint64(m.lineSize)])
-	if d.ecc[m.eccIndex(off)] != xsum.Checksum(buf) {
-		if m.st != nil {
-			m.st.ECCErrors++
+	if s := d.pages[pg]; s == 0 {
+		// Never written: zeros, whose ECC verifies by construction.
+		clear(buf)
+	} else {
+		data, ecc := m.slot(s)
+		copy(buf, data[in:in+uint64(m.lineSize)])
+		if ecc[in>>m.lineShift]^m.zeroECC != xsum.Checksum(buf) {
+			if m.st != nil {
+				m.st.ECCErrors++
+			}
+			if m.obsR != nil {
+				m.obsR(addr, buf, class, true)
+			}
+			return now + m.p.ReadCyc, ErrECC
 		}
-		if m.obsR != nil {
-			m.obsR(addr, buf, class, true)
-		}
-		return now + m.p.ReadCyc, ErrECC
 	}
 	if m.obsR != nil {
 		m.obsR(addr, buf, class, false)
@@ -288,7 +340,7 @@ func (m *Memory) WriteLine(now uint64, addr uint64, class Class, data []byte) ui
 			case lostWrite:
 				// Acknowledge without updating media. Occupancy and stats
 				// still accrue: the request was issued and "serviced".
-				d, _ := m.locate(addr)
+				d, _, _, _ := m.locate(addr)
 				m.accWrite(d, class)
 				return now + m.p.WriteCyc
 			case misdirectedWrite:
@@ -296,10 +348,11 @@ func (m *Memory) WriteLine(now uint64, addr uint64, class Class, data []byte) ui
 			}
 		}
 	}
-	d, off := m.locate(dst)
+	d, pg, in, _ := m.locate(dst)
 	m.accWrite(d, class)
-	copy(d.data[off:off+uint64(m.lineSize)], data)
-	d.ecc[m.eccIndex(off)] = xsum.Checksum(data)
+	page, ecc := m.touch(d, pg)
+	copy(page[in:in+uint64(m.lineSize)], data)
+	ecc[in>>m.lineShift] = xsum.Checksum(data) ^ m.zeroECC
 	return now + m.p.WriteCyc
 }
 
@@ -319,12 +372,16 @@ func (m *Memory) accWrite(d *dimm, class Class) {
 // ReadRaw copies current media content without timing, stats, bug or ECC
 // effects. Setup, verification and recovery-checking code uses it.
 func (m *Memory) ReadRaw(addr uint64, buf []byte) {
-	for n := 0; n < len(buf); {
-		la := m.geo.LineAddr(addr + uint64(n))
-		d, off := m.locate(la)
-		lo := (addr + uint64(n)) - la
-		c := copy(buf[n:], d.data[off+lo:off+uint64(m.lineSize)])
-		n += c
+	for n := uint64(0); n < uint64(len(buf)); {
+		d, pg, in, rest := m.locate(addr + n)
+		dst := buf[n:min(n+rest, uint64(len(buf)))]
+		if s := d.pages[pg]; s == 0 {
+			clear(dst)
+		} else {
+			data, _ := m.slot(s)
+			copy(dst, data[in:])
+		}
+		n += uint64(len(dst))
 	}
 }
 
@@ -334,19 +391,16 @@ func (m *Memory) WriteRaw(addr uint64, data []byte) {
 	if m.obsW != nil {
 		m.obsW(addr, data, false, Data)
 	}
-	line := make([]byte, m.lineSize)
-	for n := 0; n < len(data); {
-		la := m.geo.LineAddr(addr + uint64(n))
-		d, off := m.locate(la)
-		lo := (addr + uint64(n)) - la
-		c := copy(line, data[n:])
-		if uint64(c) > uint64(m.lineSize)-lo {
-			c = int(uint64(m.lineSize) - lo)
+	ls := uint64(m.lineSize)
+	for n := uint64(0); n < uint64(len(data)); {
+		d, pg, in, rest := m.locate(addr + n)
+		src := data[n:min(n+rest, uint64(len(data)))]
+		page, ecc := m.touch(d, pg)
+		copy(page[in:], src)
+		for lo := in &^ (ls - 1); lo < in+uint64(len(src)); lo += ls {
+			ecc[lo>>m.lineShift] = xsum.Checksum(page[lo:lo+ls]) ^ m.zeroECC
 		}
-		copy(d.data[off+lo:], data[n:n+c])
-		full := d.data[off : off+uint64(m.lineSize)]
-		d.ecc[m.eccIndex(off)] = xsum.Checksum(full)
-		n += c
+		n += uint64(len(src))
 	}
 }
 
@@ -374,9 +428,9 @@ func (m *Memory) InjectMisdirectedRead(intended, actual uint64) {
 // FlipBit corrupts one media bit without updating ECC, modelling media
 // corruption that device ECC does detect.
 func (m *Memory) FlipBit(addr uint64, bit uint) {
-	la := m.geo.LineAddr(addr)
-	d, off := m.locate(la)
-	d.data[off+(addr-la)] ^= 1 << (bit % 8)
+	d, pg, in, _ := m.locate(addr)
+	page, _ := m.touch(d, pg)
+	page[in] ^= 1 << (bit % 8)
 }
 
 // PendingBugs reports how many injected bugs have not fired yet.

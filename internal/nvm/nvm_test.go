@@ -17,7 +17,7 @@ func mkNVM(t *testing.T) (*Memory, *stats.Stats, geom.Geometry) {
 	}
 	st := &stats.Stats{}
 	p := param.OptaneLike(4).Mem
-	return New(NVMKind, g, p, st), st, g
+	return New(NVMKind, &g, p, st), st, g
 }
 
 func pat(b byte) []byte {
@@ -219,7 +219,7 @@ func TestDRAMLineInterleaving(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &stats.Stats{}
-	m := New(DRAMKind, g, param.Default(param.Baseline).DRAM, st)
+	m := New(DRAMKind, &g, param.Default(param.Baseline).DRAM, st)
 	buf := make([]byte, 64)
 	for i := uint64(0); i < 12; i++ {
 		m.ReadLine(0, i*64, Data, buf)

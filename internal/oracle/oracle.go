@@ -43,7 +43,7 @@ import (
 type Oracle struct {
 	eng  *sim.Engine
 	fs   *daxfs.FS
-	geo  geom.Geometry
+	geo  *geom.Geometry // the engine's
 	base uint64
 
 	// shadow is the intended media content: every observed write lands
@@ -92,7 +92,7 @@ func Attach(eng *sim.Engine, fs *daxfs.FS) *Oracle {
 	o := &Oracle{
 		eng:         eng,
 		fs:          fs,
-		geo:         eng.Geo,
+		geo:         &eng.Geo,
 		base:        eng.Geo.NVMBase(),
 		shadow:      make([]byte, eng.Geo.NVMBytes),
 		touched:     make(map[uint64]struct{}),

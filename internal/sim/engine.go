@@ -150,8 +150,8 @@ func New(cfg *param.Config) (*Engine, error) {
 		e.bankPow2 = true
 		e.bankMask = e.nbanks - 1
 	}
-	e.NVM = nvm.New(nvm.NVMKind, geo, cfg.NVM, e.St)
-	e.DRAM = nvm.New(nvm.DRAMKind, geo, cfg.DRAM, e.St)
+	e.NVM = nvm.New(nvm.NVMKind, &e.Geo, cfg.NVM, e.St)
+	e.DRAM = nvm.New(nvm.DRAMKind, &e.Geo, cfg.DRAM, e.St)
 	e.Banks = make([]*cache.Cache, cfg.LLCBanks)
 	for i := range e.Banks {
 		e.Banks[i] = cache.New(cfg.LLCBank.Sets(cfg.LineSize), cfg.LLCBank.Ways, cfg.LineSize, uint64(cfg.LLCBanks))

@@ -1,11 +1,11 @@
 // benchdiff runs the repo's hot-path benchmark suite with fixed iteration
-// counts and gates the results against a committed baseline (BENCH_6.json).
+// counts and gates the results against a committed baseline (BENCH_7.json).
 //
 // Usage:
 //
-//	go run ./tools/benchdiff -out BENCH_6.json                 # (re)record baseline
-//	go run ./tools/benchdiff -out new.json -baseline BENCH_6.json  # run + gate
-//	go run ./tools/benchdiff -compare BENCH_6.json,new.json    # gate two files
+//	go run ./tools/benchdiff -out BENCH_7.json                 # (re)record baseline
+//	go run ./tools/benchdiff -out new.json -baseline BENCH_7.json  # run + gate
+//	go run ./tools/benchdiff -compare BENCH_7.json,new.json    # gate two files
 //
 // What is gated, and how strictly, follows from what is actually portable
 // across machines and runs:
@@ -50,7 +50,7 @@ type suite struct {
 var suites = []suite{
 	{"tvarak/internal/cache", "LookupHitStride4|LookupHitStride12|LookupMiss|VictimLRUFullSet|Install|SetIndexStride12", "200000x"},
 	{"tvarak/internal/xsum", "ChecksumLine|XORIntoLine|XORIntoPage|ParityDeltaLine", "100000x"},
-	{"tvarak/internal/nvm", "ReadLine$|WriteLine|ReadLineDRAM", "200000x"},
+	{"tvarak/internal/nvm", "New$|ReadLine$|ReadLineUntouched|WriteLine|ReadLineDRAM", "200000x"},
 	{"tvarak/internal/sim", "LoadL1Hit|StoreL1Hit|LoadMissStream|StoreMissStream", "100000x"},
 	{"tvarak/internal/core", "OnFillVerify|OnWriteback$", "20000x"},
 	// End-to-end cells: one full fixed-work (workload, design) run each.
