@@ -129,7 +129,7 @@ func BenchmarkSec4HTech(b *testing.B)  { runExperiment(b, "sec4h-tech") }
 // the full fixed-work methodology (system build, setup, measured run).
 // This is the unit the campaign and experiment runners multiply by
 // thousands, so its ns/op and allocs/op are the headline hot-path numbers
-// that tools/benchdiff gates against BENCH_7.json. sim-cycles is the
+// that tools/benchdiff gates against BENCH_8.json. sim-cycles is the
 // simulated runtime — deterministic, so any drift is a correctness signal,
 // not noise.
 

@@ -152,7 +152,7 @@ truncate -s -7 "$tmp/ops-ledger.jsonl"
 
 echo "== bench-regression gate =="
 # Hot-path benchmark suite at fixed iteration counts, gated against the
-# committed BENCH_7.json: allocs/op and B/op fail on a >10% increase,
+# committed BENCH_8.json: allocs/op and B/op fail on a >10% increase,
 # simulated cycles/accesses fail on ANY drift (they are deterministic), and
 # wall-clock ns/op is reported but only enforced when BENCH_NS_TOL is set
 # (e.g. BENCH_NS_TOL=0.10 on a quiet dedicated machine — wall-clock baselines
@@ -160,10 +160,10 @@ echo "== bench-regression gate =="
 # intentional perf-relevant change, regenerate with: UPDATE_BENCH=1 ./ci.sh
 go build -o "$tmp/benchdiff" ./tools/benchdiff
 if [ "${UPDATE_BENCH:-0}" = "1" ]; then
-    "$tmp/benchdiff" -out BENCH_7.json >/dev/null
-    echo "regenerated BENCH_7.json"
+    "$tmp/benchdiff" -out BENCH_8.json >/dev/null
+    echo "regenerated BENCH_8.json"
 fi
-"$tmp/benchdiff" -out "$tmp/bench.json" -baseline BENCH_7.json \
+"$tmp/benchdiff" -out "$tmp/bench.json" -baseline BENCH_8.json \
     -ns-tol "${BENCH_NS_TOL:-0}"
 
 echo "== interrupt-and-resume gate =="

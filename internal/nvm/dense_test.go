@@ -18,17 +18,21 @@ import (
 // every byte allocated up front, and the DIMM of an access computed
 // straight from the interleave rule. It shares no address arithmetic or
 // storage with Memory, only the device semantics: timing, stats, ECC and
-// the three firmware bugs.
+// the three firmware bugs, and which media pages have been allocated.
 type dense struct {
-	kind               Kind
-	p                  param.MemParams
-	base, unit, ls, nd uint64
-	data               []byte
-	ecc                []uint32
-	st                 stats.Stats
-	reads, writes      []uint64
-	busy               []uint64
-	bugsW, bugsR       map[uint64]bug
+	kind                     Kind
+	p                        param.MemParams
+	base, unit, ls, nd, page uint64
+	data                     []byte
+	ecc                      []uint32
+	st                       stats.Stats
+	reads, writes            []uint64
+	busy                     []uint64
+	bugsW, bugsR             map[uint64]bug
+
+	// written marks, per DIMM, the DIMM-local media pages that a write, a
+	// misdirected write or a bit flip has reached.
+	written [][]bool
 }
 
 func newDense(kind Kind, g *geom.Geometry, p param.MemParams) *dense {
@@ -37,6 +41,7 @@ func newDense(kind Kind, g *geom.Geometry, p param.MemParams) *dense {
 		p:      p,
 		ls:     uint64(g.LineSize),
 		nd:     uint64(p.DIMMs),
+		page:   uint64(g.PageSize),
 		reads:  make([]uint64, p.DIMMs),
 		writes: make([]uint64, p.DIMMs),
 		busy:   make([]uint64, p.DIMMs),
@@ -48,6 +53,10 @@ func newDense(kind Kind, g *geom.Geometry, p param.MemParams) *dense {
 	if kind == NVMKind {
 		d.base, size, d.unit = g.NVMBase(), uint64(g.NVMBytes), uint64(g.PageSize)
 	}
+	d.written = make([][]bool, p.DIMMs)
+	for i := range d.written {
+		d.written[i] = make([]bool, (size/d.nd+d.page-1)/d.page)
+	}
 	d.data = make([]byte, size)
 	d.ecc = make([]uint32, size/d.ls)
 	zero := xsum.Checksum(make([]byte, d.ls))
@@ -58,6 +67,17 @@ func newDense(kind Kind, g *geom.Geometry, p param.MemParams) *dense {
 }
 
 func (d *dense) line(addr uint64) []byte { return d.data[addr-d.base : addr-d.base+d.ls] }
+
+// mediaPage returns the DIMM and DIMM-local media page holding addr: the
+// unit's index picks the DIMM round-robin, and the DIMM stores its units
+// back to back in pages.
+func (d *dense) mediaPage(addr uint64) *bool {
+	rel := addr - d.base
+	idx := rel / d.unit
+	return &d.written[idx%d.nd][(idx/d.nd*d.unit+rel%d.unit)/d.page]
+}
+
+func (d *dense) touch(addr uint64) { *d.mediaPage(addr) = true }
 
 func (d *dense) account(addr uint64, write bool, class Class) {
 	k := (addr - d.base) / d.unit % d.nd
@@ -103,6 +123,7 @@ func (d *dense) writeLine(now, addr uint64, class Class, data []byte) uint64 {
 		dst = b.target
 	}
 	d.account(dst, true, class)
+	d.touch(dst)
 	copy(d.line(dst), data)
 	d.ecc[(dst-d.base)/d.ls] = xsum.Checksum(data)
 	return now + d.p.WriteCyc
@@ -111,6 +132,7 @@ func (d *dense) writeLine(now, addr uint64, class Class, data []byte) uint64 {
 func (d *dense) writeRaw(addr uint64, data []byte) {
 	copy(d.data[addr-d.base:], data)
 	for la := addr &^ (d.ls - 1); la < addr+uint64(len(data)); la += d.ls {
+		d.touch(la)
 		d.ecc[(la-d.base)/d.ls] = xsum.Checksum(d.line(la))
 	}
 }
@@ -164,6 +186,24 @@ func (h *pair) check(what string) {
 	if n := h.m.PendingBugs(); n != len(h.ref.bugsW)+len(h.ref.bugsR) {
 		h.t.Fatalf("%s: %d pending bugs, dense %d", what, n, len(h.ref.bugsW)+len(h.ref.bugsR))
 	}
+	// One address per media page, its first byte: the page's unit index
+	// on DIMM k is the DIMM-local offset's unit row interleaved with k.
+	d := h.ref
+	for k, pages := range d.written {
+		for pg, w := range pages {
+			off := uint64(pg) * d.page
+			h.written(what, d.base+(off/d.unit*d.nd+uint64(k))*d.unit+off%d.unit, w)
+		}
+	}
+}
+
+// written checks Written(a). It marks itself a helper only on failure,
+// because Helper is costly and this runs for every media page per op.
+func (h *pair) written(what string, a uint64, want bool) {
+	if a < h.base+h.size && h.m.Written(a) != want {
+		h.t.Helper()
+		h.t.Fatalf("%s: Written(%#x) = %v, dense %v", what, a, !want, want)
+	}
 }
 
 func (h *pair) readLine(now, addr uint64, class Class) []byte {
@@ -201,6 +241,7 @@ func (h *pair) readRaw(addr uint64, n int) {
 
 func (h *pair) flipBit(addr uint64, bit uint) {
 	h.m.FlipBit(addr, bit)
+	h.ref.touch(addr)
 	h.ref.data[addr-h.base] ^= 1 << (bit % 8)
 }
 
@@ -226,6 +267,7 @@ func (h *pair) finish() {
 	h.readRaw(h.base, int(h.size))
 	for a := h.base; a < h.base+h.size; a += uint64(h.g.LineSize) {
 		h.readLine(0, a, Redundancy)
+		h.written("final sweep", a, *h.ref.mediaPage(a))
 	}
 	h.check("final sweep")
 }
@@ -342,6 +384,9 @@ func TestLostWriteToUntouchedLineReadsZero(t *testing.T) {
 	if got := h.readLine(0, a, Data); !bytes.Equal(got, make([]byte, 64)) {
 		t.Fatalf("lost write to a never-written line reads %x, want zeros", got)
 	}
+	if h.m.Written(a) {
+		t.Fatal("lost write allocated its page")
+	}
 	h.check("lost write")
 	h.finish()
 }
@@ -357,6 +402,9 @@ func TestMisdirectedWriteIntoUntouchedTarget(t *testing.T) {
 	}
 	if got := h.readLine(0, y, Data); !bytes.Equal(got, pat(2)) {
 		t.Errorf("never-written target %x, want the misdirected data", got)
+	}
+	if !h.m.Written(y) {
+		t.Error("misdirected write did not allocate the target's page")
 	}
 	h.check("misdirected write")
 	h.finish()

@@ -260,6 +260,15 @@ func (m *Memory) touch(d *dimm, pg uint64) ([]byte, []uint32) {
 	return m.slot(s)
 }
 
+// Written reports whether the media page holding addr has been allocated:
+// written, bit-flipped, or struck by a misdirected write. Media for which
+// it reports false reads as zeros. Untimed and side-effect free, for
+// checkers that visit only the media a run has touched.
+func (m *Memory) Written(addr uint64) bool {
+	d, pg, _, _ := m.locate(addr)
+	return d.pages[pg] != 0
+}
+
 func (m *Memory) checkLine(addr uint64) uint64 {
 	if addr&uint64(m.lineSize-1) != 0 {
 		panic(fmt.Sprintf("nvm: unaligned line address %#x", addr))

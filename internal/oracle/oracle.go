@@ -3,12 +3,15 @@
 // from the workload's own store stream and checked against the machine at
 // bound-weave phase boundaries and exhaustively at end-of-run.
 //
-// The model is a flat shadow copy of the NVM pool updated from the
-// devices' write observers at the *intended* address of every write —
-// before injected firmware bugs drop or redirect it — so shadow and media
-// agree exactly on every line no fault has struck. Divergence is then the
-// definition of corruption, independent of the checksums and parity the
-// design under test maintains:
+// The model is a paged shadow of the NVM pool updated from the devices'
+// write observers at the *intended* address of every write — before
+// injected firmware bugs drop or redirect it — so shadow and media agree
+// exactly on every line no fault has struck. Like the media it mirrors,
+// the shadow holds only pages that have been written; a page it does not
+// hold reads as zeros, and a page neither side holds is equal by
+// construction, so checks visit only pages one side holds. Divergence is
+// then the definition of corruption, independent of the checksums and
+// parity the design under test maintains:
 //
 //   - a lost or misdirected write leaves media ≠ shadow at the intended
 //     (and, for misdirected, the victim) line;
@@ -28,7 +31,7 @@ package oracle
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tvarak/internal/daxfs"
 	"tvarak/internal/geom"
@@ -46,9 +49,13 @@ type Oracle struct {
 	geo  *geom.Geometry // the engine's
 	base uint64
 
-	// shadow is the intended media content: every observed write lands
-	// here at its intended address.
-	shadow []byte
+	// pages is the intended media content, one entry per NVM page in
+	// pool order: every observed write lands here at its intended
+	// address. A nil page was never written and reads as zeros (zero is
+	// one read-only all-zero page standing in for it).
+	pages [][]byte
+	ps    uint64
+	zero  []byte
 
 	paused bool
 	inner  obs.Tracer // pre-attach engine tracer, still forwarded to
@@ -60,8 +67,11 @@ type Oracle struct {
 	excluded map[uint64]struct{}
 
 	// writtenData is the cumulative set of Data-class timed written
-	// lines — the campaign's injection-target candidates.
-	writtenData map[uint64]struct{}
+	// lines — the campaign's injection-target candidates — and
+	// writtenSorted the same lines in ascending order, rebuilt only once
+	// the set has grown.
+	writtenData   map[uint64]struct{}
+	writtenSorted []uint64
 
 	// silent holds data reads that delivered bytes diverging from the
 	// shadow without the design detecting the corruption; EvCorruption
@@ -84,17 +94,21 @@ type Oracle struct {
 	phaseErr    error
 }
 
-// Attach snapshots the engine's current NVM media as the initial shadow
-// and installs the oracle's observers: NVM read/write observers and the
-// engine tracer (forwarding to any tracer already attached). Attach after
-// workload Setup so the shadow starts from a known-good machine.
+// Attach snapshots the engine's current NVM media — the pages it holds —
+// as the initial shadow and installs the oracle's observers: NVM
+// read/write observers and the engine tracer (forwarding to any tracer
+// already attached). Attach after workload Setup so the shadow starts
+// from a known-good machine.
 func Attach(eng *sim.Engine, fs *daxfs.FS) *Oracle {
+	ps := uint64(eng.Geo.PageSize)
 	o := &Oracle{
 		eng:         eng,
 		fs:          fs,
 		geo:         &eng.Geo,
 		base:        eng.Geo.NVMBase(),
-		shadow:      make([]byte, eng.Geo.NVMBytes),
+		pages:       make([][]byte, uint64(eng.Geo.NVMBytes)/ps),
+		ps:          ps,
+		zero:        make([]byte, ps),
 		touched:     make(map[uint64]struct{}),
 		excluded:    make(map[uint64]struct{}),
 		writtenData: make(map[uint64]struct{}),
@@ -104,7 +118,12 @@ func Attach(eng *sim.Engine, fs *daxfs.FS) *Oracle {
 		recovered:   make(map[uint64]struct{}),
 		inner:       eng.Tracer,
 	}
-	eng.NVM.ReadRaw(o.base, o.shadow)
+	for i := range o.pages {
+		if pa := o.base + uint64(i)*ps; eng.NVM.Written(pa) {
+			o.pages[i] = make([]byte, ps)
+			eng.NVM.ReadRaw(pa, o.pages[i])
+		}
+	}
 	eng.NVM.SetWriteObserver(o.onWrite)
 	eng.NVM.SetReadObserver(o.onRead)
 	eng.Tracer = o
@@ -136,10 +155,18 @@ func (o *Oracle) onWrite(addr uint64, data []byte, timed bool, class nvm.Class) 
 			// Possibly a parity-reconstruction repair; EvRecovery will
 			// tell. Record whether it restored the shadow content.
 			o.lastWrite = addr
-			o.lastWrOK = bytes.Equal(data, o.shadow[addr-o.base:addr-o.base+uint64(len(data))])
+			o.lastWrOK = bytes.Equal(data, o.view(addr, uint64(len(data))))
 		}
 	}
-	copy(o.shadow[addr-o.base:], data)
+	for n := 0; n < len(data); {
+		rel := addr + uint64(n) - o.base
+		p := o.pages[rel/o.ps]
+		if p == nil {
+			p = make([]byte, o.ps)
+			o.pages[rel/o.ps] = p
+		}
+		n += copy(p[rel%o.ps:], data[n:])
+	}
 	first := o.geo.LineAddr(addr)
 	last := o.geo.LineAddr(addr + uint64(len(data)) - 1)
 	for la := first; la <= last; la += uint64(o.geo.LineSize) {
@@ -155,7 +182,7 @@ func (o *Oracle) onRead(addr uint64, buf []byte, class nvm.Class, eccErr bool) {
 		o.eccReads[addr] = struct{}{}
 		return
 	}
-	if !bytes.Equal(buf, o.shadow[addr-o.base:addr-o.base+uint64(len(buf))]) {
+	if !bytes.Equal(buf, o.view(addr, uint64(len(buf)))) {
 		o.silent[addr] = struct{}{}
 	}
 }
@@ -204,17 +231,35 @@ func (o *Oracle) checkTouched() {
 		}
 	}
 	if len(bad) > 0 && o.phaseErr == nil {
-		sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
+		slices.Sort(bad)
 		o.phaseErr = fmt.Errorf("oracle: media diverges from intent at line %#x (phase check %d, %d lines)",
 			bad[0], o.phaseChecks, len(bad))
 	}
 	clear(o.touched)
 }
 
-func (o *Oracle) lineShadow(la uint64) []byte {
-	i := la - o.base
-	return o.shadow[i : i+uint64(o.geo.LineSize)]
+// page returns the shadow page holding addr and addr's offset in it. A
+// page the shadow does not hold comes back as the shared zero page, which
+// callers must not modify.
+func (o *Oracle) page(addr uint64) ([]byte, uint64) {
+	rel := addr - o.base
+	if p := o.pages[rel/o.ps]; p != nil {
+		return p, rel % o.ps
+	}
+	return o.zero, rel % o.ps
 }
+
+// holds reports whether the shadow holds the page containing addr.
+func (o *Oracle) holds(addr uint64) bool { return o.pages[(addr-o.base)/o.ps] != nil }
+
+// view returns the n expected bytes at addr, which must not cross a page.
+// The slice is read-only.
+func (o *Oracle) view(addr, n uint64) []byte {
+	p, in := o.page(addr)
+	return p[in : in+n]
+}
+
+func (o *Oracle) lineShadow(la uint64) []byte { return o.view(la, uint64(o.geo.LineSize)) }
 
 // Exclude marks a line as deliberately corrupted: media checks skip it
 // until a recovery at the line clears the mark.
@@ -244,13 +289,25 @@ func (o *Oracle) GroupKey(lineAddr uint64) uint64 { return o.geo.ParityLineAddr(
 // Want copies the line's expected content into buf.
 func (o *Oracle) Want(lineAddr uint64, buf []byte) { copy(buf, o.lineShadow(lineAddr)) }
 
-// ShadowRange copies len(buf) expected bytes starting at addr.
-func (o *Oracle) ShadowRange(addr uint64, buf []byte) { copy(buf, o.shadow[addr-o.base:]) }
+// ShadowRange copies len(buf) expected bytes starting at addr; the range
+// may cross pages.
+func (o *Oracle) ShadowRange(addr uint64, buf []byte) {
+	for n := 0; n < len(buf); {
+		p, in := o.page(addr + uint64(n))
+		n += copy(buf[n:], p[in:])
+	}
+}
 
 // WrittenDataLines returns every line the workload has written through
 // the timed data path since Attach, sorted — the candidate pool fault
-// injections draw targets from.
-func (o *Oracle) WrittenDataLines() []uint64 { return sortedKeys(o.writtenData) }
+// injections draw targets from. The slice is shared until the set next
+// grows; callers must not modify it.
+func (o *Oracle) WrittenDataLines() []uint64 {
+	if len(o.writtenSorted) != len(o.writtenData) {
+		o.writtenSorted = sortedKeys(o.writtenData)
+	}
+	return o.writtenSorted
+}
 
 // SilentReads returns the lines whose reads delivered corrupt bytes with
 // no detection, sorted. Empty for a correct TVARAK run.
@@ -286,6 +343,6 @@ func sortedKeys(m map[uint64]struct{}) []uint64 {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -19,7 +19,8 @@ func (d Divergence) String() string { return fmt.Sprintf("%s@%#x", d.Kind, d.Add
 
 // VerifyMedia exhaustively compares the whole NVM pool against the
 // shadow, skipping excluded lines, and returns the divergent lines in
-// address order.
+// address order. Every page the shadow or media holds is compared; a page
+// neither holds is zeros on both sides.
 func (o *Oracle) VerifyMedia() []Divergence {
 	return o.verifyRange(o.base, uint64(o.geo.NVMBytes), false)
 }
@@ -54,10 +55,11 @@ func (o *Oracle) verifyFileData(f *daxfs.File, includeExcluded bool) []Divergenc
 	return out
 }
 
-// verifyRange compares [addr, addr+n) page by page, localizing mismatches
-// to lines. Parity pages inside the range are skipped: parity is checked
-// semantically by VerifyRedundancy (it is maintained only for stripes of
-// mapped data).
+// verifyRange compares the pages of [addr, addr+n), addr page-aligned,
+// localizing mismatches to lines. A page held by neither the shadow nor
+// media is zeros on both sides and needs no read. Parity pages inside the
+// range are skipped: parity is checked semantically by VerifyRedundancy
+// (it is maintained only for stripes of mapped data).
 func (o *Oracle) verifyRange(addr, n uint64, includeExcluded bool) []Divergence {
 	var out []Divergence
 	ps := uint64(o.geo.PageSize)
@@ -67,8 +69,11 @@ func (o *Oracle) verifyRange(addr, n uint64, includeExcluded bool) []Divergence 
 		if o.geo.IsParityPage(o.geo.PageOf(pa)) {
 			continue
 		}
+		if !o.holds(pa) && !o.eng.NVM.Written(pa) {
+			continue
+		}
 		o.eng.NVM.ReadRaw(pa, buf)
-		if bytes.Equal(buf, o.shadow[pa-o.base:pa-o.base+ps]) {
+		if bytes.Equal(buf, o.view(pa, ps)) {
 			continue
 		}
 		for la := pa; la < pa+ps; la += ls {
@@ -168,7 +173,7 @@ func (o *Oracle) VerifyPageCsums() []Divergence {
 			di := f.StartDI + p
 			pa := geo.DataIndexAddr(di, 0)
 			o.eng.NVM.ReadRaw(geo.DataIndexAddr(tableDI, di*xsum.Size), slot)
-			want := xsum.Checksum(o.shadow[pa-o.base : pa-o.base+ps])
+			want := xsum.Checksum(o.view(pa, ps))
 			if xsum.Get(slot, 0) != want {
 				out = append(out, Divergence{Addr: pa, Kind: "page-csum"})
 			}
@@ -279,7 +284,7 @@ func (o *Oracle) verifyPageCsumSlots(byteOff uint64, data []byte) error {
 			continue
 		}
 		pa := geo.DataIndexAddr(di, 0)
-		if xsum.Get(data, k) != xsum.Checksum(o.shadow[pa-o.base:pa-o.base+ps]) {
+		if xsum.Get(data, k) != xsum.Checksum(o.view(pa, ps)) {
 			return fmt.Errorf("cached page checksum for data page %d diverges from shadow CRC", di)
 		}
 	}

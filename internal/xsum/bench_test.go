@@ -5,7 +5,7 @@ import "testing"
 // The checksum/parity primitives run once per NVM fill and writeback of
 // DAX-mapped data, so their cost multiplies across every simulated cell of
 // a campaign. These benchmarks pin down the per-line (64 B) and per-page
-// (4 KB) costs; tools/benchdiff gates them against BENCH_7.json.
+// (4 KB) costs; tools/benchdiff gates them against BENCH_8.json.
 
 func mkbuf(n int, seed byte) []byte {
 	b := make([]byte, n)

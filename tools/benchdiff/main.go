@@ -1,11 +1,11 @@
 // benchdiff runs the repo's hot-path benchmark suite with fixed iteration
-// counts and gates the results against a committed baseline (BENCH_7.json).
+// counts and gates the results against a committed baseline (BENCH_8.json).
 //
 // Usage:
 //
-//	go run ./tools/benchdiff -out BENCH_7.json                 # (re)record baseline
-//	go run ./tools/benchdiff -out new.json -baseline BENCH_7.json  # run + gate
-//	go run ./tools/benchdiff -compare BENCH_7.json,new.json    # gate two files
+//	go run ./tools/benchdiff -out BENCH_8.json                 # (re)record baseline
+//	go run ./tools/benchdiff -out new.json -baseline BENCH_8.json  # run + gate
+//	go run ./tools/benchdiff -compare BENCH_8.json,new.json    # gate two files
 //
 // What is gated, and how strictly, follows from what is actually portable
 // across machines and runs:
@@ -53,6 +53,9 @@ var suites = []suite{
 	{"tvarak/internal/nvm", "New$|ReadLine$|ReadLineUntouched|WriteLine|ReadLineDRAM", "200000x"},
 	{"tvarak/internal/sim", "LoadL1Hit|StoreL1Hit|LoadMissStream|StoreMissStream", "100000x"},
 	{"tvarak/internal/core", "OnFillVerify|OnWriteback$", "20000x"},
+	// One oracle-judged fault-campaign unit: machine, oracle shadow,
+	// injections and end-of-unit verification.
+	{"tvarak/internal/fault", "CampaignUnit", "5x"},
 	// End-to-end cells: one full fixed-work (workload, design) run each.
 	// These carry the deterministic sim-cycles/sim-accesses metrics.
 	{"tvarak", "CellStreamTriadBaseline|CellStreamTriadTvarak|CellRedisSetBaseline|CellRedisSetTvarak", "1x"},
